@@ -238,7 +238,7 @@ func BenchmarkTransmitFrameGrid(b *testing.B) {
 		cutoff := plan.Spacing / 2 * 0.9
 		ducs := make([]*dsp.DUC, carriers)
 		for c := range ducs {
-			ducs[c] = dsp.NewDUC(plan.Freq(c), cutoff, 95, plan.Decim)
+			ducs[c] = dsp.NewDUC(plan.Freq(c), cutoff, frontend.ChannelFilterTaps, plan.Decim)
 		}
 		dac := frontend.NewDAC(12, 4)
 		slotLen := fcfg.SlotSymbols * plan.Decim

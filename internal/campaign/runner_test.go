@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sync/atomic"
 	"testing"
@@ -220,5 +222,33 @@ func TestExecuteGateWhereFilter(t *testing.T) {
 	}
 	if err := ValidateArtifact(a); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goldenReducedArtifactHash is the SHA-256 prefix of the encoded
+// artifact of the golden ebn0-sweep campaign cut to 4 frames and 2 runs
+// per point. Any change to the simulated outcomes of the impaired
+// preset's sync chain, decoders or ground verification moves it.
+const goldenReducedArtifactHash = "762d28690cc3a428"
+
+// TestGoldenCampaignArtifactHash pins the reduced golden campaign's
+// artifact byte for byte.
+func TestGoldenCampaignArtifactHash(t *testing.T) {
+	sp, err := Preset("ebn0-sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Frames, sp.RunsPerPoint = 4, 2
+	a, err := Execute(context.Background(), &sp, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(data)
+	if got := hex.EncodeToString(h[:8]); got != goldenReducedArtifactHash {
+		t.Fatalf("reduced ebn0-sweep artifact hash %s, want %s", got, goldenReducedArtifactHash)
 	}
 }

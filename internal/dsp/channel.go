@@ -89,8 +89,14 @@ func (c *Channel) ApplyInPlace(v Vec) Vec {
 		c.fractionalDelayInPlace(v, c.TimingOffset)
 	}
 	if c.PhaseOffset != 0 || c.FreqOffset != 0 {
+		// Exact per-sample rotation rather than the MixInto phasor
+		// recurrence: the channel draws the impairments the simulated
+		// outcomes are pinned against, so it keeps the rounding of
+		// cos/sin at every sample.
 		c.nco = NCO{freq: c.FreqOffset, phase: c.PhaseOffset}
-		c.nco.MixInto(v, v)
+		for i := range v {
+			v[i] *= c.nco.Next()
+		}
 	}
 	c.addNoise(v)
 	c.FreqOffset += c.FreqDrift

@@ -19,6 +19,11 @@ type CarrierPlan struct {
 	Decim    int // per-carrier decimation from wideband to carrier rate
 }
 
+// ChannelFilterTaps is the channel-filter length of the payload's MUX
+// and DEMUX banks: every DUC and DDC the transmit section and the
+// ground verifier build uses this many lowpass taps.
+const ChannelFilterTaps = 95
+
 // DefaultCarrierPlan returns the 6-carrier plan matching the gate-count
 // example of §2.3 (timing recovery for MF-TDMA with 6 carriers).
 func DefaultCarrierPlan() CarrierPlan {
@@ -34,6 +39,13 @@ func (p CarrierPlan) Freq(c int) float64 {
 type Demux struct {
 	plan CarrierPlan
 	ddcs []*dsp.DDC
+	out  []dsp.Vec // per-carrier output slots, reused across calls
+
+	// downconvert is the per-carrier worker body, built once so the
+	// steady state does not heap-allocate a closure per frame; cur is
+	// its per-call argument.
+	downconvert func(int)
+	cur         dsp.Vec
 }
 
 // NewDemux builds the demultiplexer; ntaps sizes each channel filter.
@@ -41,10 +53,14 @@ func NewDemux(plan CarrierPlan, ntaps int) *Demux {
 	if plan.Carriers < 1 {
 		panic("frontend: carrier plan needs at least one carrier")
 	}
-	d := &Demux{plan: plan}
+	d := &Demux{plan: plan, out: make([]dsp.Vec, plan.Carriers)}
 	cutoff := plan.Spacing / 2 * 0.9 // channel filter inside the spacing
 	for c := 0; c < plan.Carriers; c++ {
 		d.ddcs = append(d.ddcs, dsp.NewDDC(plan.Freq(c), cutoff, ntaps, plan.Decim))
+	}
+	d.downconvert = func(c int) {
+		ddc := d.ddcs[c]
+		d.out[c] = ddc.ProcessInto(dsp.GetVec(ddc.OutLen(len(d.cur))), d.cur)
 	}
 	return d
 }
@@ -56,15 +72,15 @@ func (d *Demux) Plan() CarrierPlan { return d.plan }
 // The DDC bank fans out across the pipeline worker pool — one chain per
 // carrier, as in the FPGA DEMUX — and each carrier writes only its own
 // DDC state and output slot, so the result is bit-identical to a
-// sequential loop. Output blocks come from the dsp block pool; callers
-// done with a block may dsp.PutVec it to complete the recycling loop.
+// sequential loop. The returned slice is Demux-owned and valid until
+// the next call; the blocks in it come from the dsp block pool, and
+// callers done with a block may dsp.PutVec it to complete the recycling
+// loop. Steady state performs no allocations once the pool is warm.
 func (d *Demux) Process(wideband dsp.Vec) []dsp.Vec {
-	out := make([]dsp.Vec, len(d.ddcs))
-	pipeline.ForEach(len(d.ddcs), func(c int) {
-		ddc := d.ddcs[c]
-		out[c] = ddc.ProcessInto(dsp.GetVec(ddc.OutLen(len(wideband))), wideband)
-	})
-	return out
+	d.cur = wideband
+	pipeline.ForEach(len(d.ddcs), d.downconvert)
+	d.cur = nil
+	return d.out
 }
 
 // Mux is the transmit-side carrier stacker (DUC bank).

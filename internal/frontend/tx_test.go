@@ -79,6 +79,27 @@ func TestMuxProcessIntoAllocs(t *testing.T) {
 	}
 }
 
+func TestDemuxProcessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool recycling is randomized under the race detector")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+
+	plan := CarrierPlan{Carriers: 3, Spacing: 0.2, Decim: 4}
+	d := NewDemux(plan, 63)
+	wide := randBlock(rand.New(rand.NewSource(35)), 1024)
+	split := func() {
+		for _, v := range d.Process(wide) {
+			dsp.PutVec(v)
+		}
+	}
+	split() // warm the DDC scratch and the block pool
+	if n := testing.AllocsPerRun(20, split); n != 0 {
+		t.Fatalf("Demux.Process allocates %.1f/op in steady state", n)
+	}
+}
+
 func TestDACConvertIntoMatchesConvert(t *testing.T) {
 	dac := NewDAC(12, 4)
 	rng := rand.New(rand.NewSource(33))

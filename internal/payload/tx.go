@@ -55,7 +55,7 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 	t := &Transmitter{
 		pl:          pl,
 		plan:        plan,
-		mux:         frontend.NewMux(plan, 95),
+		mux:         frontend.NewMux(plan, frontend.ChannelFilterTaps),
 		dac:         frontend.NewDAC(12, 4),
 		sps:         plan.Decim,
 		carrierBufs: make([]dsp.Vec, plan.Carriers),

@@ -419,7 +419,7 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 		return &b
 	}
 	if cfg.Verify {
-		e.gdemux = frontend.NewDemux(plan, 95)
+		e.gdemux = frontend.NewDemux(plan, frontend.ChannelFilterTaps)
 		e.gdems.New = func() any {
 			return modem.NewBurstDemodulator(pl.BurstFormat(), 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
 		}
