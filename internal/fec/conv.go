@@ -38,11 +38,16 @@ type convTrellis struct {
 func (c *ConvCode) trellis() *convTrellis { return &c.tr }
 
 // viterbiScratch is the pooled working set of one Viterbi decode: path
-// metric double buffer plus the flat survivor matrix.
+// metric double buffer plus the bit-packed decisions, decisionWords
+// uint64 words per trellis step.
 type viterbiScratch struct {
 	pm, next []float64
-	sv       []int32
+	dec      []uint64
 }
+
+// decisionWords returns the uint64 words one step's decision bits (one
+// per state) occupy.
+func (c *ConvCode) decisionWords() int { return (c.NumStates() + 63) / 64 }
 
 // getViterbiScratch leases a scratch sized for the given step count.
 func (c *ConvCode) getViterbiScratch(steps int) *viterbiScratch {
@@ -54,10 +59,10 @@ func (c *ConvCode) getViterbiScratch(steps int) *viterbiScratch {
 			next: make([]float64, states),
 		}
 	}
-	if need := steps * states; cap(vs.sv) < need {
-		vs.sv = make([]int32, need)
+	if need := steps * c.decisionWords(); cap(vs.dec) < need {
+		vs.dec = make([]uint64, need)
 	} else {
-		vs.sv = vs.sv[:need]
+		vs.dec = vs.dec[:need]
 	}
 	return vs
 }

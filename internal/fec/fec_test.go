@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"bytes"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -208,16 +209,44 @@ func TestConvRateThirdBeatsHalfAtLowSNR(t *testing.T) {
 	}
 }
 
+// TestViterbiFallbackOnGarbage checks that garbage LLRs — random, huge
+// and infinite (Inf - Inf makes metrics NaN) — never panic and decode to
+// the right length, and that the best-state fallback for an unreachable
+// termination state still runs and matches the reference.
 func TestViterbiFallbackOnGarbage(t *testing.T) {
-	// Random LLRs must not panic and must return the right length.
 	rng := rand.New(rand.NewSource(5))
 	c := UMTSConvHalf()
-	llr := make([]float64, c.EncodedLen(50))
-	for i := range llr {
-		llr[i] = rng.NormFloat64()
+	draws := []func() float64{
+		rng.NormFloat64,
+		func() float64 { return math.Copysign(1e300, rng.NormFloat64()) },
+		func() float64 { return math.Inf(1 - 2*rng.Intn(2)) },
+		func() float64 { return math.Inf(-1) },
 	}
-	if got := c.Decode(llr); len(got) != 50 {
-		t.Fatalf("decode length %d", len(got))
+	for i, draw := range draws {
+		llr := make([]float64, c.EncodedLen(50))
+		for j := range llr {
+			llr[j] = draw()
+		}
+		if got := c.Decode(llr); len(got) != 50 {
+			t.Fatalf("draw %d: decode length %d", i, len(got))
+		}
+	}
+
+	// With no LSB taps both final branches into state 0 emit pattern 00,
+	// so a final -Inf LLR leaves state 0 at -Inf while state 1 reaches
+	// +Inf from the upper states. A traceback from state 0 would decode
+	// the tail as zeros; from the fallback's state 1 the step before it
+	// decodes a 1.
+	nolsb := NewConvCode("no-lsb", 3, 0o6, 0o4)
+	llr := make([]float64, nolsb.EncodedLen(4))
+	for j := range llr {
+		llr[j] = rng.NormFloat64()
+	}
+	llr[len(llr)-2] = math.Inf(-1)
+	steps := len(llr) / 2
+	got, want := viterbi(nolsb, llr, steps), viterbiRef(nolsb, llr, steps)
+	if !bytes.Equal(got, want) || got[steps-2] != 1 {
+		t.Fatalf("fallback decode %v, reference %v", got, want)
 	}
 }
 

@@ -9,38 +9,52 @@ import "math"
 //
 // The trellis state is the K-1 most recent input bits (newest in the MSB);
 // for input b the full register is b<<(K-1)|state and the successor state
-// is that register shifted right by one.
+// is that register shifted right by one. So with S = 2^(K-1) states, the
+// sources 2j and 2j+1 share their two successors j (input 0) and j+S/2
+// (input 1): a radix-2 butterfly.
 //
-// Hot-path layout: branch successors and output patterns are precomputed
-// per code (see ConvCode.trellis), so the inner loop is a pattern-metric
-// table lookup — the 2^n possible branch outputs are scored once per step
-// against the LLR segment instead of once per branch — and the survivor
-// matrix is a flat pooled array, so a warm decoder allocates only the
-// returned bit slice.
+// Add-compare-select is destination-indexed over those butterflies. For
+// each j < S/2 it reads pm[2j] and pm[2j+1] once, adds the branch metrics
+// of the four branches (trellis patterns 4j…4j+3, looked up in a per-step
+// table that scores the 2^n possible output patterns against the LLR
+// segment once) and writes both destinations. Each destination keeps
+// max(m0, m1), where m0 comes from the even source; its decision bit is
+// m1 > m0, so a tie keeps the lower predecessor, as a scan over sources
+// in ascending order with a strict compare would. The select has no
+// branch: on noisy LLRs the compare is a coin flip, and a mispredicted
+// branch per state would cost more than the arithmetic. Nor is there a
+// reachability test: the start state has metric 0 and every other state
+// -neg, and -neg + bm rounds back to exactly -neg for any branch metric
+// far below neg, so unreachable states stay at -neg and lose every
+// compare against a reachable one.
+//
+// Decisions are packed one bit per destination state per step (bit d&63
+// of word d>>6 of the step's ⌈S/64⌉ words; with S < 128 both halves of
+// the butterfly share one word). Traceback starts from state 0: the
+// input of step t is the state's MSB, and the predecessor is the state
+// shifted left by one with the decision bit shifted in.
+//
+// Metrics stay float64 rather than quantised int32 with modular
+// normalisation: quantising the LLRs would move near-tie decisions and
+// with them the decoded bits every simulated outcome is pinned against.
 func viterbi(c *ConvCode, llr []float64, steps int) []byte {
 	n := len(c.gens)
 	states := c.NumStates()
+	half := states / 2
+	words := c.decisionWords()
 	const neg = math.MaxFloat64 / 4
-	tr := c.trellis()
+	const patMask = 1<<maxConvOutputs - 1
+	pat := c.trellis().pat
 
 	vs := c.getViterbiScratch(steps)
-	pm, next := vs.pm, vs.next
+	pm, next, dec := vs.pm, vs.next, vs.dec
 	for i := range pm {
 		pm[i] = -neg
 	}
 	pm[0] = 0
 
-	survivor := vs.sv // flat: survivor[t*states+to] = from<<1 | bit
 	var bm [1 << maxConvOutputs]float64
-
 	for t := 0; t < steps; t++ {
-		for i := range next {
-			next[i] = -neg
-		}
-		sv := survivor[t*states : (t+1)*states]
-		for i := range sv {
-			sv[i] = -1
-		}
 		seg := llr[t*n : (t+1)*n]
 		// Score every possible output pattern once: pattern bit j clear
 		// means coded bit 0 (metric +seg[j]), set means 1 (-seg[j]).
@@ -56,23 +70,36 @@ func viterbi(c *ConvCode, llr []float64, steps int) []byte {
 			}
 			bm[p] = m
 		}
-		for s := 0; s < states; s++ {
-			if pm[s] <= -neg {
-				continue
+		// Butterflies in chunks of 64: the chunk's lower and upper
+		// decision words are built in registers and stored once (i < 64,
+		// so the &63 only spares the compiler its oversized-shift check).
+		d := dec[t*words : (t+1)*words]
+		for j0 := 0; j0 < half; j0 += 64 {
+			jn := min(j0+64, half)
+			src := pm[2*j0 : 2*jn]
+			pt := pat[4*j0 : 4*jn]
+			lo, hi := next[j0:jn], next[half+j0:half+jn]
+			var wlo, whi uint64
+			for i := range lo {
+				a, b := src[2*i], src[2*i+1]
+				p := pt[4*i : 4*i+4 : 4*i+4]
+				m0, m1 := a+bm[p[0]&patMask], b+bm[p[2]&patMask]
+				lo[i] = max(m0, m1)
+				wlo |= b2u(m1 > m0) << (uint(i) & 63)
+				m0, m1 = a+bm[p[1]&patMask], b+bm[p[3]&patMask]
+				hi[i] = max(m0, m1)
+				whi |= b2u(m1 > m0) << (uint(i) & 63)
 			}
-			for b := 0; b < 2; b++ {
-				to := int(tr.to[s<<1|b])
-				m := pm[s] + bm[tr.pat[s<<1|b]]
-				if m > next[to] {
-					next[to] = m
-					sv[to] = int32(s)<<1 | int32(b)
-				}
+			if half >= 64 {
+				d[j0>>6] = wlo
+				d[(half+j0)>>6] = whi
+			} else {
+				d[0] = wlo | whi<<uint(half)
 			}
 		}
 		pm, next = next, pm
 	}
 
-	// Traceback from the zero state (zero-terminated encoding).
 	out := make([]byte, steps)
 	state := 0
 	if pm[0] <= -neg {
@@ -86,14 +113,22 @@ func viterbi(c *ConvCode, llr []float64, steps int) []byte {
 		}
 		state = best
 	}
+	msb, mask := uint(c.k-2), states-1
 	for t := steps - 1; t >= 0; t-- {
-		sv := survivor[t*states+state]
-		if sv < 0 {
-			break
-		}
-		out[t] = byte(sv & 1)
-		state = int(sv >> 1)
+		out[t] = byte(state >> msb)
+		bit := int(dec[t*words+state>>6] >> uint(state&63) & 1)
+		state = (state<<1 | bit) & mask
 	}
 	c.putViterbiScratch(vs)
 	return out
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }

@@ -205,11 +205,17 @@ type Engine struct {
 
 	frame int
 
-	mods    sync.Pool // terminal-side burst modulators
-	chans   sync.Pool // per-burst uplink channels (Reseed'd each use)
-	encBufs sync.Pool // *[]byte encode scratch, padded to the burst budget
+	// The pools are allocations of their own, not Engine fields: the
+	// runtime's pool registry references every pool holding items until
+	// the second GC after its last Put, and a pool inside the Engine
+	// would keep the whole finished engine (payload, banks, frame
+	// buffers) reachable with it.
+	mods    *sync.Pool // terminal-side burst modulators
+	chans   *sync.Pool // per-burst uplink channels (Reseed'd each use)
+	encBufs *sync.Pool // *[]byte encode scratch, padded to the burst budget
 	gdemux  *frontend.Demux
-	gdems   sync.Pool // ground-side burst demodulators
+	gdems   *sync.Pool // ground-side burst demodulators
+	gllrs   *sync.Pool // *[]float64 ground-side hard-decision LLR scratch
 
 	// scratch reused across frames. fc, room and aggBits are single
 	// buffers because every stage that touches them runs on the control
@@ -410,19 +416,23 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 			g.grid[c] = make([][]byte, cfg.Frame.Slots)
 		}
 	}
-	e.mods.New = func() any {
+	e.mods = &sync.Pool{New: func() any {
 		return modem.NewBurstModulator(pl.BurstFormat(), 0.35, 4, 10)
-	}
-	e.chans.New = func() any { return dsp.NewChannel(0) }
-	e.encBufs.New = func() any {
+	}}
+	e.chans = &sync.Pool{New: func() any { return dsp.NewChannel(0) }}
+	e.encBufs = &sync.Pool{New: func() any {
 		b := make([]byte, 0, pl.BurstFormat().PayloadBits())
 		return &b
-	}
+	}}
 	if cfg.Verify {
 		e.gdemux = frontend.NewDemux(plan, frontend.ChannelFilterTaps)
-		e.gdems.New = func() any {
+		e.gdems = &sync.Pool{New: func() any {
 			return modem.NewBurstDemodulator(pl.BurstFormat(), 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
-		}
+		}}
+		e.gllrs = &sync.Pool{New: func() any {
+			b := make([]float64, 0, pl.BurstFormat().PayloadBits())
+			return &b
+		}}
 	}
 	return e, nil
 }
@@ -1308,8 +1318,21 @@ func (e *Engine) verify(wide dsp.Vec, codec fec.Codec, g *egressGen) egressDelta
 			return
 		}
 		bits := sc.pkt.Bits
-		hard := modem.HardBits(res.Soft)
-		dec := codec.Decode(fec.HardLLR(hard)[:codec.EncodedLen(len(bits))])
+		// Hard-decide the soft symbols into saturated ±10 LLRs (the
+		// modem.HardBits sign rule: s < 0 is bit 1), straight into a
+		// pooled buffer.
+		lp := e.gllrs.Get().(*[]float64)
+		llr := (*lp)[:0]
+		for _, s := range res.Soft[:codec.EncodedLen(len(bits))] {
+			l := 10.0
+			if s < 0 {
+				l = -10
+			}
+			llr = append(llr, l)
+		}
+		dec := codec.Decode(llr)
+		*lp = llr
+		e.gllrs.Put(lp)
 		outs[i] = outcome{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
 	})
 	var d egressDelta
