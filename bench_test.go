@@ -175,7 +175,7 @@ func BenchmarkProcessFrame(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					pl.Switch().Route(0, fec.PackBits(bits))
+					pl.Switch().RoutePacket(0, switchfab.Packet{Bits: fec.PackBits(bits)})
 				}
 				pl.Switch().Drain(0)
 			}
@@ -230,7 +230,12 @@ func BenchmarkTransmitFrameGrid(b *testing.B) {
 	}
 
 	b.Run("sequential", func(b *testing.B) {
-		pl, tx, grid := setup()
+		pl, _, grid := setup()
+		codec, err := pl.Codec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		budget := pl.BurstFormat().PayloadBits()
 		mod := modem.NewBurstModulator(pl.BurstFormat(), 0.35, plan.Decim, 10)
 		// A private DUC bank, not frontend.Mux: Mux.Process now fans out
 		// over the worker pool, so the baseline must re-create the
@@ -250,10 +255,8 @@ func BenchmarkTransmitFrameGrid(b *testing.B) {
 			for c := 0; c < carriers; c++ {
 				buf := dsp.NewVec(carrierLen)
 				for s, info := range grid[c] {
-					pb, err := tx.EncodeBurst(info)
-					if err != nil {
-						b.Fatal(err)
-					}
+					pb := make([]byte, budget)
+					copy(pb, codec.Encode(info))
 					copy(buf[s*slotLen:], mod.Modulate(pb))
 				}
 				v := ducs[c].Process(buf)
@@ -559,7 +562,8 @@ func BenchmarkScenarioSession(b *testing.B) {
 					c.Drift = 0
 				}
 			}
-			sess, err := scenario.NewSession(spec, scenario.WithVerification(false))
+			spec.Traffic.Verify = false
+			sess, err := scenario.NewSession(spec)
 			if err != nil {
 				b.Fatal(err)
 			}

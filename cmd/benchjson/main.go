@@ -17,13 +17,14 @@
 // Each benchmark set runs once per GOMAXPROCS width — 1 (the
 // single-core figure PR acceptance gates compare) and NumCPU (the
 // pipeline-scaling figure) — and every result records the width it ran
-// at. CI runs the 1x smoke variant on every push; full runs use the go
-// test defaults:
+// at. -out is required, so a bare run never overwrites a checked-in
+// artifact. CI runs the 1x smoke variant on every push; full runs use
+// the go test defaults:
 //
-//	go run ./cmd/benchjson -out BENCH_PR10.json
-//	go run ./cmd/benchjson -benchtime 1x -out BENCH_PR10.json   # smoke
-//	go run ./cmd/benchjson -bench BenchmarkTrafficEngineMegapop \
-//	    -speedup-gate Megapop -min-speedup 0.95                # concurrency gate
+//	go run ./cmd/benchjson -out BENCH_PRn.json
+//	go run ./cmd/benchjson -benchtime 1x -out /tmp/bench-smoke.json   # smoke
+//	go run ./cmd/benchjson -bench BenchmarkTrafficEngineMegapop -out /tmp/gate.json \
+//	    -speedup-gate Megapop -min-speedup 0.95                       # concurrency gate
 package main
 
 import (
@@ -95,7 +96,7 @@ func main() {
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (e.g. 1x for a smoke run)")
 	pkgs := flag.String("pkgs", ".,./internal/dsp", "comma-separated packages to bench")
 	widthsFlag := flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS widths (default: 1 and NumCPU)")
-	out := flag.String("out", "BENCH_PR10.json", "output file")
+	out := flag.String("out", "", "output file (required)")
 	telemetryOut := flag.String("telemetry", "", "additionally emit the results as one telemetry flush line (file, or - for stdout)")
 	speedupGate := flag.String("speedup-gate", "", "benchmark name regexp whose widest-width speedup over width 1 must clear -min-speedup")
 	minSpeedup := flag.Float64("min-speedup", 1.0, "minimum (ns/op at width 1) / (ns/op at widest width) ratio for -speedup-gate benchmarks")
@@ -103,6 +104,11 @@ func main() {
 	vsGate := flag.String("vs-gate", "", "CHALLENGER:BASELINE benchmark-name pair; at the widest width ns/op(BASELINE)/ns/op(CHALLENGER) must clear -min-vs")
 	minVs := flag.Float64("min-vs", 1.0, "minimum baseline/challenger speedup for -vs-gate")
 	flag.Parse()
+	if *out == "" {
+		fmt.Fprintln(flag.CommandLine.Output(), "benchjson: -out is required (the JSON file to write)")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	widths, err := parseWidths(*widthsFlag)
 	if err != nil {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -129,5 +133,29 @@ func TestBenchLineParsing(t *testing.T) {
 	}
 	if m[1] != "BenchmarkTrafficEnginePipelined" || m[3] != "13580000" {
 		t.Fatalf("parsed %q ns/op %q", m[1], m[3])
+	}
+}
+
+// A run without -out must stop with a usage error (exit 2) before any
+// benchmark runs, instead of writing a default file into the checkout.
+// The test binary re-runs itself with a trailing "benchjson-main"
+// argument, which makes the child call main with no flags.
+func TestOutRequired(t *testing.T) {
+	if flag.Arg(0) == "benchjson-main" {
+		flag.CommandLine = flag.NewFlagSet("benchjson", flag.ExitOnError)
+		os.Args = []string{"benchjson"}
+		main()
+		t.Fatal("main returned without -out")
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestOutRequired$", "benchjson-main").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("want exit status 2, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-out is required") || !strings.Contains(string(out), "Usage") {
+		t.Fatalf("no usage error in the output:\n%s", out)
+	}
+	if strings.Contains(string(out), "wrote") {
+		t.Fatalf("benchmarks ran without -out:\n%s", out)
 	}
 }

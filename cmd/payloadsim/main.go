@@ -127,7 +127,13 @@ func main() {
 	if totalBits > 0 {
 		fmt.Printf("BER: %d/%d = %.3e\n", errBits, totalBits, float64(errBits)/float64(totalBits))
 	}
-	fmt.Printf("switch: %d packets routed across beams %v\n", pl.Switch().Routed(), pl.Switch().Beams())
+	var beams []int
+	for b := 0; b < pl.Switch().NumBeams(); b++ {
+		if pl.Switch().QueueDepth(b) > 0 {
+			beams = append(beams, b)
+		}
+	}
+	fmt.Printf("switch: %d packets routed across beams %v\n", pl.Switch().Routed(), beams)
 }
 
 func infoBitsFor(c fec.Codec, budget int) int {

@@ -10,11 +10,11 @@ import (
 	"repro/internal/payload"
 )
 
-// TestServeFrameThroughAssembledSystem drives uplink traffic through the
-// full assembled system's payload on the concurrent batch path: one
+// TestProcessFrameThroughAssembledSystem drives uplink traffic through
+// the full assembled system's payload on the concurrent batch path: one
 // frame, one burst per carrier, all demodulated/decoded/switched while
 // the control plane (TC/TM link, NCC, PEP) is wired up around it.
-func TestServeFrameThroughAssembledSystem(t *testing.T) {
+func TestProcessFrameThroughAssembledSystem(t *testing.T) {
 	cfg := DefaultSystemConfig()
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -47,9 +47,9 @@ func TestServeFrameThroughAssembledSystem(t *testing.T) {
 		infos[c] = info
 	}
 
-	bits, err := sys.ServeFrame(2, rx)
+	bits, err := pl.ProcessFrame(2, rx)
 	if err != nil {
-		t.Fatalf("ServeFrame: %v", err)
+		t.Fatalf("ProcessFrame: %v", err)
 	}
 	for c := range bits {
 		if errs := fec.CountBitErrors(infos[c], bits[c][:len(infos[c])]); errs > 2 {

@@ -2,13 +2,9 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
-	"repro/internal/modem"
-	"repro/internal/payload"
 	"repro/internal/scenario"
-	"repro/internal/traffic"
 )
 
 // miniSwapSpec is a reduced E11 shape: sustained load with a scripted
@@ -74,57 +70,5 @@ func TestSessionScriptedSwapThroughControlPlane(t *testing.T) {
 	// arrived at the NCC during the run.
 	if len(sys.NCC.Reports) == 0 {
 		t.Fatal("no NCC reconfiguration reports — the swap bypassed the control plane")
-	}
-}
-
-// The legacy RunTraffic wrapper must stay bit-identical to a direct
-// engine run on the same system configuration — it is now a thin layer
-// over the scenario session.
-func TestRunTrafficWrapperMatchesEngine(t *testing.T) {
-	mk := func() *System {
-		sys, err := NewSystem(DefaultSystemConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.RunUntil(2)
-		if err := sys.Payload.SetWaveform(payload.ModeTDMA); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Payload.SetCodec("conv-r1/2-k9"); err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	cfg := traffic.DefaultConfig()
-	cfg.Frame = modem.FrameConfig{Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16}
-	cfg.Verify = true
-	cfg.Seed = 13
-	terms := func() []traffic.Terminal {
-		return []traffic.Terminal{
-			{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
-			{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 1}},
-		}
-	}
-
-	// The silent-no-op path is closed on the wrapper too.
-	if _, err := mk().RunTraffic(TrafficScenario{Config: cfg, Terminals: terms()}); err == nil {
-		t.Fatal("RunTraffic accepted a zero frame count")
-	}
-
-	viaWrapper, err := mk().RunTraffic(TrafficScenario{Config: cfg, Terminals: terms(), Frames: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := traffic.New(mk().Payload, cfg, terms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunFrames(4); err != nil {
-		t.Fatal(err)
-	}
-	direct := eng.Report()
-	viaWrapper.WallSeconds, direct.WallSeconds = 0, 0
-	if !reflect.DeepEqual(viaWrapper, direct) {
-		t.Fatalf("RunTraffic diverged from the direct engine:\nwrapper %+v\ndirect  %+v", viaWrapper, direct)
 	}
 }

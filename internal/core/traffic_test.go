@@ -9,7 +9,8 @@ import (
 )
 
 // TestRunTrafficOnAssembledSystem drives sustained MF-TDMA load through
-// the assembled system's payload with the control plane wired up.
+// the assembled system's payload with the control plane wired up — a
+// traffic engine built straight on sys.Payload, as E12 builds it.
 func TestRunTrafficOnAssembledSystem(t *testing.T) {
 	sys, err := NewSystem(DefaultSystemConfig())
 	if err != nil {
@@ -26,17 +27,17 @@ func TestRunTrafficOnAssembledSystem(t *testing.T) {
 	cfg.Frame = modem.FrameConfig{Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16}
 	cfg.Verify = true
 	cfg.Seed = 13
-	rep, err := sys.RunTraffic(TrafficScenario{
-		Config: cfg,
-		Terminals: []traffic.Terminal{
-			{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
-			{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 1}},
-		},
-		Frames: 4,
+	eng, err := traffic.New(sys.Payload, cfg, []traffic.Terminal{
+		{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
+		{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.RunFrames(4); err != nil {
+		t.Fatal(err)
+	}
+	rep := eng.Report()
 	if rep.Frames != 4 || rep.OutageFrames != 0 {
 		t.Fatalf("ran %d frames with %d outages", rep.Frames, rep.OutageFrames)
 	}

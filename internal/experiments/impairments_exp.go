@@ -129,7 +129,11 @@ func E12Impairments(cfg E12Config) *E12Result {
 		tcfg.EbN0dB = ebn0
 		tcfg.Verify = true
 		tcfg.Seed = cfg.Seed
-		eng, err := sys.NewTrafficEngine(core.TrafficScenario{Config: tcfg, Terminals: terms})
+		// E12 drives the engine API, not a validated scenario.Spec: at
+		// the default 40 frames the drifting terminal reaches
+		// 0.05 + 0.002·39 = 0.128 c/sym, beyond scenario.MaxAbsCFO
+		// (0.125), so Spec.Validate would reject this population.
+		eng, err := traffic.New(sys.Payload, tcfg, terms)
 		if err != nil {
 			panic(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fec"
 	"repro/internal/modem"
 	"repro/internal/payload"
+	"repro/internal/switchfab"
 )
 
 // E10 measures the concurrent per-carrier receive pipeline: the paper's
@@ -108,7 +109,7 @@ func sequentialFrame(pl *payload.Payload, beam int, rx []dsp.Vec, codedBits int)
 			continue
 		}
 		bits[c] = b
-		pl.Switch().Route(beam, fec.PackBits(b))
+		pl.Switch().RoutePacket(beam, switchfab.Packet{Bits: fec.PackBits(b)})
 	}
 	return bits, firstErr
 }

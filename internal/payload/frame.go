@@ -1,6 +1,10 @@
 package payload
 
 import (
+	"errors"
+	"fmt"
+
+	"repro/internal/dsp"
 	"repro/internal/fec"
 	"repro/internal/modem"
 	"repro/internal/pipeline"
@@ -9,27 +13,24 @@ import (
 
 // Frame-level MF-TDMA reception: the return link of Fig 2 is organized
 // in frames of (carrier, slot) cells; terminals transmit one burst per
-// assigned cell. ReceiveFrame demodulates every assigned cell of a
-// composed frame and reports per-burst outcomes — the payload-side view
-// of the MF-TDMA time plan.
+// assigned cell. ReceiveFrameAndRouteQoS demodulates, decodes and
+// routes every assigned cell of a composed frame and reports per-burst
+// outcomes — the payload-side view of the MF-TDMA time plan.
 
 // BurstReceipt is the outcome of one (carrier, slot) cell.
 type BurstReceipt struct {
 	Assignment modem.SlotAssignment
 	Found      bool
 	Soft       []float64
-	// UWMetric mirrors Sync.UWMetric — the field predates SyncInfo and
-	// is kept for callers of the original receipt shape.
-	UWMetric float64
 	// Sync carries the burst-synchronization diagnostics (UW metric, CFO
 	// estimate, timing offset, carrier phase) of the demodulation stage,
 	// populated for found and missed bursts alike so callers can study
 	// acquisition behaviour under channel impairments.
 	Sync SyncInfo
-	// Bits holds the decoded info bits when the receiving call also ran
-	// the DECOD stage (ReceiveFrameAndRoute); nil otherwise. On the QoS
-	// route path the slice is shared with the packet queued in the
-	// switching fabric — callers may read it but must not mutate it.
+	// Bits holds the decoded info bits; nil when demodulation, decoding
+	// or routing failed. On ReceiveFrameAndRouteQoS the slice is shared
+	// with the packet queued in the switching fabric — callers may read
+	// it but must not mutate it.
 	Bits []byte
 	Err  error
 }
@@ -49,146 +50,123 @@ type RouteMeta struct {
 	InfoBits int
 }
 
-// ReceiveFrame demodulates the assigned cells of an MF-TDMA frame. The
-// composer must have been built at the payload's TDMA oversampling
-// (4 samples/symbol). Unassigned cells are not touched. Cells fan out
-// across the pipeline worker pool — several bursts on the same carrier
-// are fine, since each worker draws its own demodulator instance — and
-// every cell writes only its own receipt, so the result is
-// bit-identical to a sequential loop over the assignments.
-func (p *Payload) ReceiveFrame(fc *modem.FrameComposer, assignments []modem.SlotAssignment) []BurstReceipt {
-	out := make([]BurstReceipt, len(assignments))
-	pipeline.ForEach(len(assignments), func(i int) {
-		a := assignments[i]
-		r := BurstReceipt{Assignment: a}
-		soft, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
-		r.Sync = info
-		r.UWMetric = info.UWMetric
-		if err != nil {
-			r.Err = err
-		} else {
-			r.Found = true
-			r.Soft = soft
-		}
-		out[i] = r
-	})
-	return out
-}
-
-// receiveFrameDecode runs the DEMOD and DECOD stages over the assigned
-// cells concurrently on the pipeline worker pool — the shared core of
-// both routing variants. Routing happens afterwards, in the caller,
-// strictly in assignment order: the fabric is safe under concurrent
-// routers, but in-frame routing stays post-barrier so queue contents
-// are deterministic (schedule-independent), exactly like the rest of
-// the pipeline contract.
-func (p *Payload) receiveFrameDecode(fc *modem.FrameComposer, assignments []modem.SlotAssignment) []BurstReceipt {
-	out := make([]BurstReceipt, len(assignments))
-	pipeline.ForEach(len(assignments), func(i int) {
-		a := assignments[i]
-		r := BurstReceipt{Assignment: a}
-		soft, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
-		r.Sync = info
-		r.UWMetric = info.UWMetric
-		if err != nil {
-			r.Err = err
-			out[i] = r
-			return
-		}
+// receiveBurst runs the DEMOD and DECOD stages over one burst block —
+// the per-cell kernel both receive calls fan out across the pipeline
+// worker pool. It touches no shared state beyond the pooled
+// demodulators, so any worker may run any cell and every cell writes
+// only its own receipt.
+func (p *Payload) receiveBurst(carrier int, rx dsp.Vec) BurstReceipt {
+	var r BurstReceipt
+	r.Soft, r.Sync, r.Err = p.demodulateCarrier(carrier, rx)
+	if r.Err == nil {
 		r.Found = true
-		r.Soft = soft
-		bits, err := p.decodeBurst(soft)
-		if err != nil {
-			r.Err = err
-			out[i] = r
-			return
-		}
-		r.Bits = bits
-		out[i] = r
-	})
-	return out
+		r.Bits, r.Err = p.decodeBurst(r.Soft)
+	}
+	return r
 }
 
-// ReceiveFrameAndRoute runs the full regenerative receive path over the
-// assigned cells of an MF-TDMA frame: every cell is demodulated and
-// decoded concurrently on the pipeline worker pool (same ownership
-// contract as ReceiveFrame), then the decoded packets are routed to
-// beams[i] — packed, unmarked (best effort) — strictly in assignment
-// order after the barrier, so fabric contents are deterministic and
-// bit-identical to a sequential loop. Failed cells (burst not found,
-// service down mid-reconfiguration, short codeword) carry their error
-// in the receipt and route nothing. QoS callers use
-// ReceiveFrameAndRouteQoS instead.
-func (p *Payload) ReceiveFrameAndRoute(fc *modem.FrameComposer, assignments []modem.SlotAssignment, beams []int) []BurstReceipt {
-	if len(beams) != len(assignments) {
-		panic("payload: one destination beam per assignment required")
+// routeBits is the post-barrier route step both receive calls share,
+// run strictly in cell order after the workers finish so fabric
+// contents never depend on the schedule. It returns the decoded bits
+// to route, trimmed to m.InfoBits, or nil when the cell has nothing to
+// route: a failed cell, a switch function that is down, or a beam
+// outside the fabric (the last two become the receipt's error).
+func (p *Payload) routeBits(r *BurstReceipt, m RouteMeta) []byte {
+	if r.Bits == nil {
+		return nil
 	}
-	out := p.receiveFrameDecode(fc, assignments)
-	for i := range out {
-		if out[i].Bits == nil {
-			continue
-		}
-		if !p.cs.FunctionHealthy(FuncSwitch) {
-			out[i].Bits = nil
-			out[i].Err = ErrServiceDown
-			continue
-		}
-		if err := p.checkBeam(beams[i]); err != nil {
-			out[i].Bits = nil
-			out[i].Err = err
-			continue
-		}
-		p.sw.Route(beams[i], fec.PackBits(out[i].Bits))
+	err := p.checkBeam(m.Beam)
+	if !p.cs.FunctionHealthy(FuncSwitch) {
+		err = ErrServiceDown
 	}
-	return out
+	if err != nil {
+		r.Bits, r.Err = nil, err
+		return nil
+	}
+	if m.InfoBits > 0 && m.InfoBits < len(r.Bits) {
+		return r.Bits[:m.InfoBits]
+	}
+	return r.Bits
 }
 
-// ReceiveFrameAndRouteQoS is ReceiveFrameAndRoute with full routing
-// metadata: each decoded burst enters the switching fabric as a typed
-// packet carrying its traffic class, terminal token and ingress frame,
-// trimmed to metas[i].InfoBits info bits and routed un-packed (the
-// downlink scheduler hands the very same bit slice to the transmit
-// grid, so there is no pack/unpack round trip on the sustained-load hot
-// path). Routing order and failure semantics match ReceiveFrameAndRoute;
-// a packet tail-dropped by a full class queue is counted by the fabric,
-// not reflected in the receipt (the burst itself was received fine).
+// ReceiveFrameAndRouteQoS runs the full regenerative receive path over
+// the assigned cells of an MF-TDMA frame. The composer must have been
+// built at the payload's TDMA oversampling (4 samples/symbol);
+// unassigned cells are not touched. Every cell is demodulated and
+// decoded concurrently on the pipeline worker pool — several bursts on
+// the same carrier are fine, since each worker draws its own
+// demodulator — and then enters the switching fabric, strictly in
+// assignment order, as a typed packet carrying metas[i]'s class,
+// terminal token and ingress frame, trimmed to metas[i].InfoBits and
+// routed un-packed (the downlink scheduler hands the very same bit
+// slice to the transmit grid). The result is bit-identical to a
+// sequential loop over the assignments. Failed cells (burst not found,
+// service down mid-reconfiguration, short codeword, beam outside the
+// fabric) carry their error in the receipt and route nothing; a packet
+// tail-dropped by a full class queue is counted by the fabric, not in
+// the receipt (the burst itself was received fine).
 func (p *Payload) ReceiveFrameAndRouteQoS(fc *modem.FrameComposer, assignments []modem.SlotAssignment, metas []RouteMeta) []BurstReceipt {
 	if len(metas) != len(assignments) {
 		panic("payload: one route meta per assignment required")
 	}
-	out := p.receiveFrameDecode(fc, assignments)
-	for i := range out {
-		if out[i].Bits == nil {
-			continue
+	out := make([]BurstReceipt, len(assignments))
+	pipeline.ForEach(len(assignments), func(i int) {
+		a := assignments[i]
+		out[i] = p.receiveBurst(a.Carrier, fc.SlotWaveform(a))
+		out[i].Assignment = a
+	})
+	for i, m := range metas {
+		if bits := p.routeBits(&out[i], m); bits != nil {
+			p.sw.RoutePacket(m.Beam, switchfab.Packet{
+				Bits:    bits,
+				Class:   m.Class,
+				Term:    m.Term,
+				Ingress: m.Ingress,
+			})
 		}
-		if !p.cs.FunctionHealthy(FuncSwitch) {
-			out[i].Bits = nil
-			out[i].Err = ErrServiceDown
-			continue
-		}
-		m := metas[i]
-		if err := p.checkBeam(m.Beam); err != nil {
-			out[i].Bits = nil
-			out[i].Err = err
-			continue
-		}
-		bits := out[i].Bits
-		if m.InfoBits > 0 && m.InfoBits < len(bits) {
-			bits = bits[:m.InfoBits]
-		}
-		p.sw.RoutePacket(m.Beam, switchfab.Packet{
-			Bits:    bits,
-			Class:   m.Class,
-			Term:    m.Term,
-			Ingress: m.Ingress,
-		})
 	}
 	return out
 }
 
-// FrameThroughputBits returns the maximum information bits one frame can
-// carry at the payload's burst format and the composer's configuration:
-// carriers x slots x payload bits per burst.
-func (p *Payload) FrameThroughputBits(cfg modem.FrameConfig) int {
-	return cfg.Carriers * cfg.Slots * p.burstFormat.PayloadBits()
+// ProcessFrame demodulates, decodes and routes one burst block per
+// carrier — the receive path for blocks without a slot grid (CDMA
+// bursts, raw per-carrier DEMUX output), modelling the payload's bank
+// of identical per-carrier chains running in parallel. rx[c] is carrier
+// c's baseband block (at most Config.Carriers blocks). It runs the same
+// per-cell kernel and post-barrier route step as
+// ReceiveFrameAndRouteQoS: decoded bursts are routed to beam as packed,
+// best-effort packets strictly in carrier order, so switch contents are
+// deterministic and the call is bit-identical to a sequential
+// per-carrier loop.
+//
+// The returned slice has one entry per input block; carriers that
+// failed (burst not found, acquisition miss, service down) leave a nil
+// entry and contribute a wrapped error to the joined err. Partial
+// frames are normal under SEUs or mid-reconfiguration, so callers
+// should inspect both return values.
+func (p *Payload) ProcessFrame(beam int, rx []dsp.Vec) ([][]byte, error) {
+	if err := p.checkBeam(beam); err != nil {
+		return nil, err
+	}
+	if len(rx) == 0 {
+		return nil, errors.New("payload: empty frame")
+	}
+	if len(rx) > p.cfg.Carriers {
+		return nil, fmt.Errorf("payload: %d blocks exceed the %d-carrier plan", len(rx), p.cfg.Carriers)
+	}
+	out := make([]BurstReceipt, len(rx))
+	pipeline.ForEach(len(rx), func(c int) { out[c] = p.receiveBurst(c, rx[c]) })
+	bits := make([][]byte, len(rx))
+	errs := make([]error, len(rx))
+	for c := range out {
+		r := &out[c]
+		if b := p.routeBits(r, RouteMeta{Beam: beam}); b != nil {
+			p.sw.RoutePacket(beam, switchfab.Packet{Bits: fec.PackBits(b)})
+		}
+		bits[c] = r.Bits
+		if r.Err != nil {
+			errs[c] = fmt.Errorf("carrier %d: %w", c, r.Err)
+		}
+	}
+	return bits, errors.Join(errs...)
 }

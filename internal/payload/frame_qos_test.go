@@ -38,7 +38,7 @@ func composeQoSFrame(t *testing.T, pl *Payload, codec fec.Codec, infoLen int, se
 
 // The QoS route path must enqueue typed packets: class, terminal token
 // and ingress stamp preserved, bits trimmed to the codeword's info
-// length and bit-identical to the legacy packed path.
+// length and equal to the sent info bits.
 func TestReceiveFrameAndRouteQoSMetadata(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -84,9 +84,10 @@ func TestReceiveFrameAndRouteQoSMetadata(t *testing.T) {
 	}
 }
 
-// A destination beam outside the fabric is an error at every route
-// entry point, not a silent discard (the seed's map switch accepted
-// any integer).
+// A destination beam outside the fabric is an error on both receive
+// calls, not a silent discard (the seed's map switch accepted any
+// integer): ProcessFrame refuses the frame, ReceiveFrameAndRouteQoS
+// fails just the misrouted cells.
 func TestRouteRejectsBeamOutsideFabric(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -94,16 +95,18 @@ func TestRouteRejectsBeamOutsideFabric(t *testing.T) {
 	if _, err := pl.ProcessFrame(3, rx); err == nil {
 		t.Fatal("ProcessFrame accepted beam 3 on a 3-beam fabric")
 	}
-	if _, err := pl.ReceiveAndRoute(0, rx[0], -1); err == nil {
-		t.Fatal("ReceiveAndRoute accepted a negative beam")
-	}
 	fc, asgs, _ := composeQoSFrame(t, pl, codec, infoLen, 41)
-	receipts := pl.ReceiveFrameAndRoute(fc, asgs, []int{0, 1, 9})
-	if receipts[2].Err == nil || receipts[2].Bits != nil {
-		t.Fatalf("misrouted cell not surfaced: %+v", receipts[2])
+	receipts := pl.ReceiveFrameAndRouteQoS(fc, asgs, []RouteMeta{{Beam: -1}, {Beam: 1}, {Beam: 9}})
+	for _, i := range []int{0, 2} {
+		if receipts[i].Err == nil || receipts[i].Bits != nil {
+			t.Fatalf("misrouted cell %d not surfaced: %+v", i, receipts[i])
+		}
 	}
-	if receipts[0].Err != nil || receipts[1].Err != nil {
-		t.Fatal("valid cells failed alongside the misroute")
+	if receipts[1].Err != nil {
+		t.Fatal("the valid cell failed alongside the misroutes")
+	}
+	if got := pl.Switch().QueueDepth(1); got != 1 {
+		t.Fatalf("beam 1 holds %d packets, want 1", got)
 	}
 	if pl.Switch().Misrouted() != 0 {
 		t.Fatal("validated route path still hit the fabric misroute counter")

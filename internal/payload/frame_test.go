@@ -40,7 +40,11 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 		fc.PlaceBurst(a, ch.Apply(wave))
 	}
 
-	receipts := pl.ReceiveFrame(fc, assignments)
+	metas := make([]RouteMeta, len(assignments))
+	for i, a := range assignments {
+		metas[i] = RouteMeta{Beam: a.Carrier}
+	}
+	receipts := pl.ReceiveFrameAndRouteQoS(fc, assignments, metas)
 	if len(receipts) != 3 {
 		t.Fatalf("receipts %d", len(receipts))
 	}
@@ -61,7 +65,7 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 	}
 
 	// An empty cell must report not-found, not a false burst.
-	empty := pl.ReceiveFrame(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 1}})
+	empty := pl.ReceiveFrameAndRouteQoS(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 1}}, []RouteMeta{{}})
 	if empty[0].Found {
 		t.Fatal("false detection in an empty slot")
 	}
@@ -70,7 +74,7 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 func TestFrameThroughputMatchesPaperGoal(t *testing.T) {
 	pl, _ := New(DefaultConfig())
 	cfg := modem.DefaultFrameConfig()
-	bits := pl.FrameThroughputBits(cfg)
+	bits := cfg.Carriers * cfg.Slots * pl.BurstFormat().PayloadBits()
 	// 6 carriers x 8 slots x 400 payload bits = 19200 bits per frame.
 	if bits != 6*8*400 {
 		t.Fatalf("frame throughput %d", bits)

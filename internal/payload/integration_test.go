@@ -8,14 +8,16 @@ import (
 	"repro/internal/fec"
 	"repro/internal/frontend"
 	"repro/internal/modem"
+	"repro/internal/switchfab"
 )
 
 // TestFig2WidebandRegenerativeLoop runs the complete Fig 2 chain: three
 // user terminals transmit TDMA bursts on different carriers; the stacked
 // wideband uplink passes through the antenna array, ADCs, DBFN and DEMUX;
-// each carrier is demodulated and decoded; packets are switched; the Tx
-// section re-encodes and transmits a downlink frame which a ground
-// terminal demodulates. Bits must survive the full regenerative hop.
+// each carrier is demodulated and decoded; packets are switched; the
+// downlink scheduler fills a one-slot grid that the Tx section
+// re-encodes and transmits, and a ground terminal demodulates it. Bits
+// must survive the full regenerative hop.
 func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Carriers = 3
@@ -85,20 +87,28 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 		if errs := fec.CountBitErrors(infos[c], dec[:infoLen]); errs != 0 {
 			t.Fatalf("carrier %d: %d bit errors through the wideband chain", c, errs)
 		}
-		pl.Switch().Route(c, fec.PackBits(dec[:infoLen]))
+		pl.Switch().RoutePacket(c, switchfab.Packet{Bits: dec[:infoLen]})
 	}
 	if pl.Switch().Routed() != plan.Carriers {
 		t.Fatalf("switch routed %d", pl.Switch().Routed())
 	}
 
-	// Transmit section: drain the switch and downlink each beam.
+	// Transmit section: schedule each beam's packet into its carrier's
+	// slot and downlink the grid.
 	tx := NewTransmitter(pl, plan)
-	perBeam := map[int][]byte{}
-	for _, beam := range pl.Switch().Beams() {
-		pkts := pl.Switch().Drain(beam)
-		perBeam[beam] = PackInfoBits(pkts[0], infoLen)
+	frame := modem.FrameConfig{Carriers: plan.Carriers, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
+	grid := make([][][]byte, plan.Carriers)
+	for beam := range grid {
+		grid[beam] = make([][]byte, frame.Slots)
+		pl.Switch().Schedule(switchfab.FIFO{}, beam, frame.Slots, func(p switchfab.Packet) bool {
+			grid[beam][0] = p.Bits
+			return true
+		})
+		if grid[beam][0] == nil {
+			t.Fatalf("beam %d scheduled nothing", beam)
+		}
 	}
-	downWide, err := tx.TransmitFrame(perBeam)
+	downWide, err := tx.TransmitFrameGrid(frame, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +128,18 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 	}
 }
 
+// txGrid builds a one-slot downlink grid over the given carriers with
+// info in carrier 0's slot.
+func txGrid(carriers int, info []byte) (modem.FrameConfig, [][][]byte) {
+	cfg := modem.FrameConfig{Carriers: carriers, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
+	grid := make([][][]byte, carriers)
+	for c := range grid {
+		grid[c] = make([][]byte, cfg.Slots)
+	}
+	grid[0][0] = info
+	return cfg, grid
+}
+
 // TestTransmitterServiceGating verifies the Tx side honours device health.
 func TestTransmitterServiceGating(t *testing.T) {
 	pl, _ := New(DefaultConfig())
@@ -125,17 +147,18 @@ func TestTransmitterServiceGating(t *testing.T) {
 	pl.SetCodec("uncoded")
 	plan := frontend.CarrierPlan{Carriers: 2, Spacing: 0.2, Decim: 4}
 	tx := NewTransmitter(pl, plan)
+	cfg, grid := txGrid(plan.Carriers, make([]byte, 8))
 
 	d, _ := pl.Chipset().Device("decod-fpga") // hosts coding + switch
 	d.PowerOff()
-	if _, err := tx.EncodeBurst(make([]byte, 8)); err != ErrServiceDown {
+	if _, err := tx.TransmitFrameGrid(cfg, grid); err != ErrServiceDown {
 		t.Fatalf("want ErrServiceDown, got %v", err)
 	}
-	if _, err := tx.TransmitFrame(map[int][]byte{0: make([]byte, 8)}); err != ErrServiceDown {
-		t.Fatalf("want ErrServiceDown, got %v", err)
+	if _, err := tx.encodeBurstInto(nil, make([]byte, 8)); err != ErrServiceDown {
+		t.Fatalf("want ErrServiceDown from the coding stage, got %v", err)
 	}
 	d.PowerOn()
-	if _, err := tx.EncodeBurst(make([]byte, 8)); err != nil {
+	if _, err := tx.TransmitFrameGrid(cfg, grid); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 }
@@ -148,28 +171,33 @@ func TestTransmitterOversizedBurst(t *testing.T) {
 	plan := frontend.CarrierPlan{Carriers: 2, Spacing: 0.2, Decim: 4}
 	tx := NewTransmitter(pl, plan)
 	// 200-symbol QPSK burst carries 400 bits; turbo needs 3k+12.
-	if _, err := tx.EncodeBurst(make([]byte, 200)); err == nil {
+	if _, err := tx.TransmitFrameGrid(txGrid(plan.Carriers, make([]byte, 200))); err == nil {
 		t.Fatal("oversized coded burst must be rejected")
 	}
-	if _, err := tx.EncodeBurst(make([]byte, 64)); err != nil {
+	if _, err := tx.TransmitFrameGrid(txGrid(plan.Carriers, make([]byte, 64))); err != nil {
 		t.Fatalf("64 info bits must fit: %v", err)
 	}
 }
 
-// TestTransmitterEmptyFrame: an all-idle frame is legal and yields a
-// silent wideband block (see tx_test.go for the shape assertions) — a
-// streaming engine must be able to transmit silence without
-// special-casing it.
+// TestTransmitterEmptyFrame: a grid whose carrier rows are empty (no
+// slot listed at all) is as legal as an all-nil one and yields a silent
+// wideband block of the full frame length (see tx_test.go for the
+// all-nil case) — a streaming engine must be able to transmit silence
+// without special-casing it.
 func TestTransmitterEmptyFrame(t *testing.T) {
 	pl, _ := New(DefaultConfig())
 	pl.SetWaveform(ModeTDMA)
 	pl.SetCodec("uncoded")
 	tx := NewTransmitter(pl, frontend.CarrierPlan{Carriers: 2, Spacing: 0.2, Decim: 4})
-	wide, err := tx.TransmitFrame(map[int][]byte{})
+	cfg := modem.FrameConfig{Carriers: 2, Slots: 3, SlotSymbols: 512, GuardSymbols: 16}
+	wide, err := tx.TransmitFrameGrid(cfg, make([][][]byte, 2))
 	if err != nil {
-		t.Fatalf("idle frame must be legal: %v", err)
+		t.Fatalf("empty frame must be legal: %v", err)
 	}
-	if len(wide) == 0 {
-		t.Fatal("idle frame produced no wideband block")
+	if want := (cfg.Slots*cfg.SlotSymbols*tx.Plan().Decim + TxTailMargin) * tx.Plan().Decim; len(wide) != want {
+		t.Fatalf("empty frame wideband length %d, want %d", len(wide), want)
+	}
+	if e := wide.Energy(); e != 0 {
+		t.Fatalf("empty frame carries energy %g", e)
 	}
 }

@@ -80,11 +80,12 @@ type Payload struct {
 	// stand in for the bank of identical per-carrier FPGA chains. The
 	// pools avoid redesigning RRC taps for every burst and let any
 	// number of concurrent workers demodulate without shared state.
-	tdmaDemods   sync.Pool
-	cdmaDemods   sync.Pool
-	syncCfg      modem.SyncConfig
-	syncAuto     bool // engine-chosen default active
-	syncExplicit bool // SetSyncConfig called; engines leave it alone
+	// Each pool is its own allocation whose New closure captures its
+	// parameters by value, so the runtime's pool registry never keeps
+	// a finished payload reachable.
+	tdmaDemods *sync.Pool
+	cdmaDemods *sync.Pool
+	syncCfg    modem.SyncConfig
 
 	// codedBits bounds the soft bits fed to the decoder per burst
 	// (0 = decode the whole burst payload); see SetBurstCodedBits.
@@ -119,52 +120,34 @@ func New(cfg Config) (*Payload, error) {
 		sw:          switchfab.New(cfg.Carriers, 0),
 		burstFormat: modem.DefaultBurstFormat(cfg.TDMAPayloadSymbols),
 	}
-	p.tdmaDemods.New = func() any {
-		return modem.NewBurstDemodulatorSync(p.burstFormat, 0.35, 4, 10, modem.TimingOerderMeyr, p.syncCfg)
-	}
-	p.cdmaDemods.New = func() any { return cdma.NewDemodulator(p.cfg.CDMA) }
+	p.tdmaDemods = tdmaDemodPool(p.burstFormat, p.syncCfg)
+	cdmaCfg := cfg.CDMA
+	p.cdmaDemods = &sync.Pool{New: func() any { return cdma.NewDemodulator(cdmaCfg) }}
 	return p, nil
 }
 
-// SetSyncConfig reconfigures the TDMA burst synchronization chain (UW
-// threshold, feedforward frequency recovery, residual phase tracking)
-// and rebuilds the demodulator pool so every subsequently drawn instance
-// uses it. The zero SyncConfig is the boot default — the legacy UW-phase-
-// only chain — so clean-channel callers are untouched. Set it once at
-// link configuration time, before frames are processed. An explicit
-// call is sticky: traffic engines leave it alone (see SetSyncConfigAuto).
-func (p *Payload) SetSyncConfig(sc modem.SyncConfig) {
-	p.syncAuto = false
-	p.syncExplicit = true
-	p.applySyncConfig(sc)
-}
-
-// SetSyncConfigAuto applies an engine-chosen sync default. Unlike an
-// explicit SetSyncConfig it stays engine-managed: a later engine may
-// replace it (an impaired population enables the full chain, a clean
-// one restores the legacy chain), so one engine's auto-enabled chain
-// never leaks into the next engine sharing this payload.
-func (p *Payload) SetSyncConfigAuto(sc modem.SyncConfig) {
-	p.syncAuto = true
-	p.syncExplicit = false
-	p.applySyncConfig(sc)
-}
-
-// SyncConfigAuto reports whether the active sync configuration is an
-// engine-chosen default rather than an explicit SetSyncConfig call.
-func (p *Payload) SyncConfigAuto() bool { return p.syncAuto }
-
-// SyncConfigExplicit reports whether the active sync configuration was
-// set by an explicit SetSyncConfig call — sticky even when it equals
-// the zero value (a caller may pin the legacy chain on purpose), so
-// engines must not replace it.
-func (p *Payload) SyncConfigExplicit() bool { return p.syncExplicit }
-
-func (p *Payload) applySyncConfig(sc modem.SyncConfig) {
-	p.syncCfg = sc
-	p.tdmaDemods = sync.Pool{New: func() any {
-		return modem.NewBurstDemodulatorSync(p.burstFormat, 0.35, 4, 10, modem.TimingOerderMeyr, p.syncCfg)
+// tdmaDemodPool builds a TDMA demodulator pool for one burst format and
+// sync configuration.
+func tdmaDemodPool(bf modem.BurstFormat, sc modem.SyncConfig) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		return modem.NewBurstDemodulatorSync(bf, 0.35, 4, 10, modem.TimingOerderMeyr, sc)
 	}}
+}
+
+// SetSyncConfig reconfigures the TDMA burst synchronization chain (UW
+// threshold, feedforward frequency recovery, residual phase tracking);
+// every demodulator drawn afterwards uses it. The zero SyncConfig is
+// the boot default, the legacy UW-phase-only chain. Traffic engines
+// resolve it from their population at construction and on every
+// population change, so call it only between frames. Setting the
+// active configuration again is a no-op; a change installs a fresh
+// demodulator pool.
+func (p *Payload) SetSyncConfig(sc modem.SyncConfig) {
+	if sc == p.syncCfg {
+		return
+	}
+	p.syncCfg = sc
+	p.tdmaDemods = tdmaDemodPool(p.burstFormat, sc)
 }
 
 // SyncConfig returns the active TDMA burst synchronization configuration.
@@ -352,16 +335,16 @@ var ErrServiceDown = errors.New("payload: service down")
 // DemodulateCarrier runs the active demodulator on one carrier's
 // baseband block, returning soft bits. It fails if the DEMOD (or DEMUX)
 // function is unhealthy — which is exactly what happens during a
-// reconfiguration or after an unscrubbed SEU. It is a thin single-
-// carrier wrapper over the same demodulator bank the frame pipeline
-// uses, so sequential and batch reception are bit-identical.
+// reconfiguration or after an unscrubbed SEU. It draws from the same
+// demodulator bank as the frame receive calls, so sequential and batch
+// reception are bit-identical.
 func (p *Payload) DemodulateCarrier(carrier int, rx dsp.Vec) ([]float64, error) {
 	soft, _, err := p.demodulateCarrier(carrier, rx)
 	return soft, err
 }
 
 // demodulateCarrier is DemodulateCarrier plus the per-burst sync
-// diagnostics the frame pipeline plumbs into receipts.
+// diagnostics the receive kernel plumbs into receipts.
 func (p *Payload) demodulateCarrier(carrier int, rx dsp.Vec) ([]float64, SyncInfo, error) {
 	if carrier < 0 || carrier >= p.cfg.Carriers {
 		return nil, SyncInfo{}, errors.New("payload: carrier out of range")
@@ -413,8 +396,8 @@ func (p *Payload) Decode(soft []float64) ([]byte, error) {
 }
 
 // decodeBurst trims a burst's soft bits to the configured codeword
-// length and decodes them — the DECOD stage shared by the sequential
-// wrappers and the frame pipeline. A burst that came up short (e.g. a
+// length and decodes them — the DECOD stage of the per-cell receive
+// kernel. A burst that came up short (e.g. a
 // CDMA misacquisition eating the first chips) cannot carry the
 // codeword and is rejected rather than fed truncated to the decoder.
 func (p *Payload) decodeBurst(soft []float64) ([]byte, error) {
@@ -436,28 +419,4 @@ func (p *Payload) checkBeam(beam int) error {
 		return fmt.Errorf("payload: beam %d outside the %d-beam switching fabric", beam, p.sw.NumBeams())
 	}
 	return nil
-}
-
-// ReceiveAndRoute demodulates a carrier, decodes, and routes the
-// resulting packet to the given downlink beam — one full regenerative
-// hop through the payload. It is the thin single-carrier wrapper over
-// the same DEMOD/DECOD/switch stages ProcessFrame fans out per carrier.
-func (p *Payload) ReceiveAndRoute(carrier int, rx dsp.Vec, beam int) ([]byte, error) {
-	if err := p.checkBeam(beam); err != nil {
-		return nil, err
-	}
-	soft, err := p.DemodulateCarrier(carrier, rx)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := p.decodeBurst(soft)
-	if err != nil {
-		return nil, err
-	}
-	if !p.cs.FunctionHealthy(FuncSwitch) {
-		return nil, ErrServiceDown
-	}
-	pkt := fec.PackBits(bits)
-	p.sw.Route(beam, pkt)
-	return bits, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/fec"
 	"repro/internal/modem"
+	"repro/internal/switchfab"
 )
 
 func TestChipsetStrategies(t *testing.T) {
@@ -107,9 +108,12 @@ func TestPayloadSwitchFabric(t *testing.T) {
 	if sw.NumBeams() != DefaultConfig().Carriers {
 		t.Fatalf("fabric serves %d beams, payload has %d carriers", sw.NumBeams(), DefaultConfig().Carriers)
 	}
-	sw.Route(1, []byte("a"))
-	sw.Route(1, []byte("b"))
-	sw.Route(2, []byte("c"))
+	for _, r := range []struct {
+		beam int
+		bits string
+	}{{1, "a"}, {1, "b"}, {2, "c"}} {
+		sw.RoutePacket(r.beam, switchfab.Packet{Bits: []byte(r.bits)})
+	}
 	if sw.Routed() != 3 || sw.QueueDepth(1) != 2 {
 		t.Fatal("routing counters")
 	}
@@ -120,12 +124,12 @@ func TestPayloadSwitchFabric(t *testing.T) {
 	if sw.QueueDepth(1) != 0 {
 		t.Fatal("drain must empty the queue")
 	}
-	if b := sw.Beams(); len(b) != 1 || b[0] != 2 {
-		t.Fatalf("beams %v", b)
+	if sw.QueueDepth(2) != 1 {
+		t.Fatalf("beam 2 holds %d packets, want 1", sw.QueueDepth(2))
 	}
 	sw.Adopt(2)
 	for i := 0; i < 5; i++ {
-		sw.Route(0, []byte{byte(i)})
+		sw.RoutePacket(0, switchfab.Packet{Bits: []byte{byte(i)}})
 	}
 	if sw.Dropped() != 3 || sw.QueueDepth(0) != 2 {
 		t.Fatalf("dropped=%d depth=%d", sw.Dropped(), sw.QueueDepth(0))
@@ -171,11 +175,11 @@ func TestPayloadCDMAEndToEnd(t *testing.T) {
 	ch := dsp.NewChannel(2)
 	ch.AWGN(rx, 0.1)
 
-	got, err := p.ReceiveAndRoute(0, rx, 3)
+	got, err := p.ProcessFrame(3, []dsp.Vec{rx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fec.CountBitErrors(bits, got[:len(bits)]) != 0 {
+	if fec.CountBitErrors(bits, got[0][:len(bits)]) != 0 {
 		t.Fatal("CDMA payload path corrupted data")
 	}
 	if p.Switch().QueueDepth(3) != 1 {
@@ -209,11 +213,11 @@ func TestPayloadTDMAEndToEnd(t *testing.T) {
 	ch.SPS = 4
 	rx := ch.Apply(tx)
 
-	got, err := p.ReceiveAndRoute(2, rx, 1)
+	got, err := p.ProcessFrame(1, []dsp.Vec{rx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := fec.CountBitErrors(payloadBits, got[:len(payloadBits)])
+	errs := fec.CountBitErrors(payloadBits, got[0][:len(payloadBits)])
 	if errs > 2 {
 		t.Fatalf("%d bit errors through TDMA path", errs)
 	}
@@ -329,5 +333,35 @@ func TestPerFunctionDemodNeedsBothChips(t *testing.T) {
 	d.PowerOff()
 	if p.Chipset().FunctionHealthy(FuncDemod) {
 		t.Fatal("demod needs both per-function chips")
+	}
+}
+
+// SetSyncConfig installs a fresh demodulator pool only when the
+// configuration changes: re-setting the active one keeps the pool (and
+// its warm demodulators).
+func TestSetSyncConfigRebuildsPoolOnlyOnChange(t *testing.T) {
+	p, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := p.tdmaDemods
+	p.SetSyncConfig(modem.SyncConfig{})
+	if p.tdmaDemods != boot {
+		t.Fatal("re-setting the boot config replaced the pool")
+	}
+	full := modem.SyncConfig{UWThreshold: 0.7, FreqRecovery: true, PhaseTrack: true}
+	p.SetSyncConfig(full)
+	if p.tdmaDemods == boot || p.SyncConfig() != full {
+		t.Fatal("a config change did not install a fresh pool")
+	}
+	changed := p.tdmaDemods
+	p.SetSyncConfig(full)
+	if p.tdmaDemods != changed {
+		t.Fatal("re-setting the active config replaced the pool")
+	}
+	dem := p.tdmaDemods.Get().(*modem.BurstDemodulator)
+	defer p.tdmaDemods.Put(dem)
+	if dem.Sync() != full {
+		t.Fatalf("pooled demodulator runs %+v, want %+v", dem.Sync(), full)
 	}
 }

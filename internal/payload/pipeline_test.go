@@ -1,13 +1,17 @@
 package payload
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
 	"repro/internal/fec"
 	"repro/internal/modem"
+	"repro/internal/switchfab"
 )
 
 // newTDMAPayload boots a TDMA payload with the given carrier count and
@@ -82,7 +86,7 @@ func TestProcessFrameMatchesSequential(t *testing.T) {
 			t.Fatalf("carrier %d decode: %v", c, err)
 		}
 		seqBits[c] = b
-		plSeq.Switch().Route(1, fec.PackBits(b))
+		plSeq.Switch().RoutePacket(1, switchfab.Packet{Bits: fec.PackBits(b)})
 	}
 
 	concBits, err := plConc.ProcessFrame(1, rx)
@@ -224,7 +228,8 @@ func TestProcessFrameShortBurstRejected(t *testing.T) {
 
 // TestReceiveFrameConcurrentMatchesSequential: the (carrier, slot) grid
 // path fans out across workers, including several bursts per carrier,
-// and must agree with a sequential loop over the assignments.
+// and must agree with a sequential demodulation loop over the
+// assignments.
 func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Carriers = 2
@@ -236,12 +241,16 @@ func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 	if err := pl.SetWaveform(ModeTDMA); err != nil {
 		t.Fatal(err)
 	}
+	if err := pl.SetCodec("uncoded"); err != nil {
+		t.Fatal(err)
+	}
 	f := pl.BurstFormat()
 	fcCfg := modem.FrameConfig{Carriers: 2, Slots: 3, SlotSymbols: f.TotalSymbols() + 30}
 	fc := modem.NewFrameComposer(fcCfg, 4)
 	mod := modem.NewBurstModulator(f, 0.35, 4, 10)
 	rng := rand.New(rand.NewSource(9))
 	var assignments []modem.SlotAssignment
+	var metas []RouteMeta
 	for carrier := 0; carrier < 2; carrier++ {
 		for slot := 0; slot < 3; slot++ {
 			bits := make([]byte, f.PayloadBits())
@@ -251,10 +260,11 @@ func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 			a := modem.SlotAssignment{Carrier: carrier, Slot: slot}
 			fc.PlaceBurst(a, mod.Modulate(bits))
 			assignments = append(assignments, a)
+			metas = append(metas, RouteMeta{Beam: carrier})
 		}
 	}
 
-	got := pl.ReceiveFrame(fc, assignments)
+	got := pl.ReceiveFrameAndRouteQoS(fc, assignments, metas)
 
 	for i, a := range assignments {
 		want, err := pl.DemodulateCarrier(a.Carrier, fc.SlotWaveform(a))
@@ -269,5 +279,81 @@ func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 				t.Fatalf("assignment %d soft bit %d differs from sequential", i, j)
 			}
 		}
+	}
+}
+
+// Both receive calls run one per-cell demod+decode kernel and one
+// post-barrier route step, so the same TDMA bursts — raw per-carrier
+// blocks into ProcessFrame, one slot per carrier of a FrameComposer
+// into ReceiveFrameAndRouteQoS — must decode to identical bits, fail
+// on the same cells with the same errors, and queue the same packets.
+func TestProcessFrameMatchesReceiveFrameAndRouteQoS(t *testing.T) {
+	const infoLen, beam = 180, 2
+	cases := []struct {
+		name  string
+		setup func(pl *Payload)
+	}{
+		{"clean", func(*Payload) {}},
+		{"decod-down", func(pl *Payload) {
+			d, _ := pl.Chipset().Device("decod-fpga")
+			d.PowerOff()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plRaw, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
+			plGrid, _ := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
+			fc, asgs, infos := composeQoSFrame(t, plRaw, codec, infoLen, 61)
+			// Wipe carrier 1's slot: a burst-not-found cell on both paths.
+			fc.PlaceBurst(asgs[1], dsp.NewVec(len(fc.SlotWaveform(asgs[1]))))
+			rx := make([]dsp.Vec, len(asgs))
+			metas := make([]RouteMeta, len(asgs))
+			for c, a := range asgs {
+				rx[c] = fc.SlotWaveform(a)
+				metas[c] = RouteMeta{Beam: beam}
+			}
+			tc.setup(plRaw)
+			tc.setup(plGrid)
+
+			bits, err := plRaw.ProcessFrame(beam, rx)
+			receipts := plGrid.ReceiveFrameAndRouteQoS(fc, asgs, metas)
+			ok := 0
+			for c, r := range receipts {
+				if (r.Err == nil) != (bits[c] != nil) {
+					t.Fatalf("carrier %d: ProcessFrame ok=%v, grid receipt err %v", c, bits[c] != nil, r.Err)
+				}
+				if r.Err != nil {
+					if want := fmt.Sprintf("carrier %d: %v", c, r.Err); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("carrier %d: ProcessFrame error %v lacks %q", c, err, want)
+					}
+					continue
+				}
+				ok++
+				if !bytes.Equal(bits[c], r.Bits) {
+					t.Fatalf("carrier %d: decoded bits differ between the two receive calls", c)
+				}
+				if fec.CountBitErrors(infos[c], r.Bits[:infoLen]) != 0 {
+					t.Fatalf("carrier %d: decoded bits wrong", c)
+				}
+			}
+			if receipts[1].Err == nil {
+				t.Fatal("the wiped cell decoded")
+			}
+			if tc.name == "decod-down" && ok != 0 {
+				t.Fatalf("%d cells decoded with DECOD powered off", ok)
+			}
+			if tc.name == "clean" && ok != 2 {
+				t.Fatalf("%d of 2 live cells decoded", ok)
+			}
+			raw, grid := plRaw.Switch().Drain(beam), plGrid.Switch().Drain(beam)
+			if len(raw) != ok || len(grid) != ok {
+				t.Fatalf("queued %d and %d packets, want %d", len(raw), len(grid), ok)
+			}
+			for i := range raw {
+				if !bytes.Equal(raw[i], fec.PackBits(grid[i])) {
+					t.Fatalf("packet %d: ProcessFrame routed a different packet", i)
+				}
+			}
+		})
 	}
 }

@@ -37,12 +37,15 @@ type Transmitter struct {
 	// construction, so recycled modulators (which fully reset per burst)
 	// stand in for the bank of identical per-carrier MOD chains and let
 	// any number of concurrent workers modulate without shared state.
-	mods    sync.Pool
+	// Like encBufs it is its own allocation whose New closure captures
+	// its parameters by value, so the runtime's pool registry never
+	// keeps a finished transmitter reachable.
+	mods    *sync.Pool
 	waveLen int // samples Modulate emits per burst
 
-	// encBufs pools *[]byte encode scratch for the grid fast path, so
-	// re-encoding a full frame of bursts costs no per-burst allocations.
-	encBufs sync.Pool
+	// encBufs pools *[]byte encode scratch, so re-encoding a full frame
+	// of bursts costs no per-burst allocations.
+	encBufs *sync.Pool
 
 	// carrierBufs holds the per-carrier downlink waveforms of the frame
 	// under construction; each grid worker touches only its own carrier.
@@ -60,13 +63,14 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 		sps:         plan.Decim,
 		carrierBufs: make([]dsp.Vec, plan.Carriers),
 	}
-	t.mods.New = func() any {
-		return modem.NewBurstModulator(pl.BurstFormat(), 0.35, plan.Decim, 10)
-	}
-	t.encBufs.New = func() any {
-		b := make([]byte, 0, pl.BurstFormat().PayloadBits())
+	bf, sps := pl.BurstFormat(), plan.Decim
+	t.mods = &sync.Pool{New: func() any {
+		return modem.NewBurstModulator(bf, 0.35, sps, 10)
+	}}
+	t.encBufs = &sync.Pool{New: func() any {
+		b := make([]byte, 0, bf.PayloadBits())
 		return &b
-	}
+	}}
 	m := t.mods.Get().(*modem.BurstModulator)
 	t.waveLen = m.WaveformLen()
 	t.mods.Put(m)
@@ -76,21 +80,10 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 // Plan returns the downlink carrier plan.
 func (t *Transmitter) Plan() frontend.CarrierPlan { return t.plan }
 
-// BurstWaveformLen returns the samples one modulated downlink burst
-// occupies (including the shaping-filter flush tail).
-func (t *Transmitter) BurstWaveformLen() int { return t.waveLen }
-
-// EncodeBurst encodes info bits with the active codec and pads them into
-// one downlink burst payload. It fails when the coding function is down
-// or the coded stream does not fit the burst.
-func (t *Transmitter) EncodeBurst(info []byte) ([]byte, error) {
-	return t.encodeBurstInto(make([]byte, 0, t.pl.BurstFormat().PayloadBits()), info)
-}
-
-// encodeBurstInto is the scratch-reusing core of EncodeBurst: it encodes
-// into dst[:0] (growing it if needed), zero-pads to the burst payload
-// budget and returns the padded slice. Callers that pool their scratch
-// re-encode bursts without per-burst allocations.
+// encodeBurstInto encodes info bits with the active codec into dst[:0]
+// (growing it if needed), zero-pads them to the burst payload budget
+// and returns the padded slice. It fails when the coding function is
+// down or the coded stream does not fit the burst.
 func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 	if !t.pl.Chipset().FunctionHealthy(FuncCoding) {
 		return nil, ErrServiceDown
@@ -108,53 +101,6 @@ func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 		dst = append(dst, 0)
 	}
 	return dst, nil
-}
-
-// TransmitFrame drains queued packets for the given beams (one burst per
-// beam, in beam order), modulates each onto its own downlink carrier and
-// returns the stacked wideband block after the DAC. Beams without
-// traffic contribute an empty carrier; an all-idle frame is legal and
-// emits the empty-carrier wideband block, so streaming engines need not
-// special-case silence.
-func (t *Transmitter) TransmitFrame(infoBitsPerBeam map[int][]byte) (dsp.Vec, error) {
-	if !t.pl.Chipset().FunctionHealthy(FuncSwitch) {
-		return nil, ErrServiceDown
-	}
-	carriers := make([]dsp.Vec, t.plan.Carriers)
-	mod := t.mods.Get().(*modem.BurstModulator)
-	var burstLen int
-	for beam := 0; beam < t.plan.Carriers; beam++ {
-		info, ok := infoBitsPerBeam[beam]
-		if !ok {
-			continue
-		}
-		payloadBits, err := t.EncodeBurst(info)
-		if err != nil {
-			t.mods.Put(mod)
-			return nil, err
-		}
-		wave := mod.Modulate(payloadBits)
-		carriers[beam] = wave
-		if len(wave) > burstLen {
-			burstLen = len(wave)
-		}
-	}
-	t.mods.Put(mod)
-	if burstLen == 0 {
-		// Idle frame: keep the nominal burst length so the wideband
-		// block has the same shape as a loaded frame.
-		burstLen = t.waveLen
-	}
-	burstLen += TxTailMargin
-	for i := range carriers {
-		if carriers[i] == nil {
-			carriers[i] = dsp.NewVec(burstLen)
-		} else if len(carriers[i]) < burstLen {
-			carriers[i] = append(carriers[i], dsp.NewVec(burstLen-len(carriers[i]))...)
-		}
-	}
-	wide := t.mux.Process(carriers)
-	return t.dac.ConvertInto(wide, wide), nil
 }
 
 // TransmitFrameGrid modulates a full (carrier, slot) downlink frame:
@@ -222,10 +168,4 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 	}
 	wide := t.mux.ProcessInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs)
 	return t.dac.ConvertInto(wide, wide), nil
-}
-
-// PackInfoBits converts a drained switch packet back into the info-bit
-// slice it was routed with (inverse of fec.PackBits up to padding).
-func PackInfoBits(pkt []byte, nbits int) []byte {
-	return fec.UnpackBits(pkt, nbits)
 }

@@ -2,7 +2,9 @@ package payload
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dsp"
 	"repro/internal/fec"
@@ -65,7 +67,7 @@ func (r *seqTxRig) frameGrid(t *testing.T, tx *Transmitter, cfg modem.FrameConfi
 			if info == nil {
 				continue
 			}
-			payloadBits, err := tx.EncodeBurst(info)
+			payloadBits, err := tx.encodeBurstInto(nil, info)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +85,7 @@ func TestTransmitFrameGridMatchesSequential(t *testing.T) {
 	cfg := modem.FrameConfig{Carriers: 3, Slots: 4, SlotSymbols: 512, GuardSymbols: 16}
 	rng := rand.New(rand.NewSource(5))
 	// Separate rig for the reference so shared-pool modulators cannot
-	// hide state leakage; EncodeBurst is stateless so tx is reusable.
+	// hide state leakage; encodeBurstInto is stateless so tx is reusable.
 	ref := newSeqTxRig(pl, tx.Plan())
 	for frame := 0; frame < 3; frame++ {
 		grid := gridInfoBits(rng, cfg, infoLen, 0.7)
@@ -121,24 +123,11 @@ func TestTransmitFrameGridValidation(t *testing.T) {
 	}
 }
 
-// An all-idle frame is legal on both transmit APIs and yields a silent
-// wideband block of the nominal shape — a streaming engine must not have
-// to special-case silence.
+// An all-idle grid is legal and yields a silent wideband block of the
+// nominal shape — a streaming engine must not have to special-case
+// silence.
 func TestTransmitIdleFrames(t *testing.T) {
-	pl, tx, _ := txTestRig(t, 2, "uncoded", 64)
-	_ = pl
-
-	wide, err := tx.TransmitFrame(map[int][]byte{})
-	if err != nil {
-		t.Fatalf("idle TransmitFrame: %v", err)
-	}
-	if want := (tx.BurstWaveformLen() + TxTailMargin) * tx.Plan().Decim; len(wide) != want {
-		t.Fatalf("idle frame wideband length %d, want %d", len(wide), want)
-	}
-	if e := wide.Energy(); e != 0 {
-		t.Fatalf("idle frame carries energy %g", e)
-	}
-
+	_, tx, _ := txTestRig(t, 2, "uncoded", 64)
 	cfg := modem.FrameConfig{Carriers: 2, Slots: 3, SlotSymbols: 512, GuardSymbols: 16}
 	grid := make([][][]byte, 2)
 	for c := range grid {
@@ -200,8 +189,8 @@ func TestTransmitFrameGridLoopback(t *testing.T) {
 	}
 }
 
-// ReceiveFrameAndRoute must agree bit-for-bit with the sequential
-// single-cell path and route in deterministic assignment order.
+// ReceiveFrameAndRouteQoS must decode every cell bit-exactly and route
+// in deterministic assignment order.
 func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -210,7 +199,7 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 	mod := modem.NewBurstModulator(pl.BurstFormat(), 0.35, 4, 10)
 	rng := rand.New(rand.NewSource(17))
 	var asgs []modem.SlotAssignment
-	var beams []int
+	var metas []RouteMeta
 	var infos [][]byte
 	for c := 0; c < cfg.Carriers; c++ {
 		for s := 0; s < cfg.Slots; s += 2 {
@@ -224,11 +213,11 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 			a := modem.SlotAssignment{Carrier: c, Slot: s}
 			fc.PlaceBurst(a, mod.Modulate(padded))
 			asgs = append(asgs, a)
-			beams = append(beams, c)
+			metas = append(metas, RouteMeta{Beam: c, InfoBits: infoLen})
 			infos = append(infos, info)
 		}
 	}
-	receipts := pl.ReceiveFrameAndRoute(fc, asgs, beams)
+	receipts := pl.ReceiveFrameAndRouteQoS(fc, asgs, metas)
 	if len(receipts) != len(asgs) {
 		t.Fatalf("%d receipts for %d assignments", len(receipts), len(asgs))
 	}
@@ -248,11 +237,10 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 		}
 		k := 0
 		for i := range asgs {
-			if beams[i] != c {
+			if metas[i].Beam != c {
 				continue
 			}
-			got := PackInfoBits(pkts[k], infoLen)
-			if fec.CountBitErrors(infos[i], got) != 0 {
+			if len(pkts[k]) != infoLen || fec.CountBitErrors(infos[i], pkts[k]) != 0 {
 				t.Fatalf("beam %d packet %d does not match assignment order", c, k)
 			}
 			k++
@@ -266,8 +254,67 @@ func TestReceiveFrameAndRouteRequiresBeams(t *testing.T) {
 	fc := modem.NewFrameComposer(cfg, 4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic on beams/assignments mismatch")
+			t.Fatal("no panic on metas/assignments mismatch")
 		}
 	}()
-	pl.ReceiveFrameAndRoute(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 0}}, nil)
+	pl.ReceiveFrameAndRouteQoS(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 0}}, nil)
+}
+
+// collectedAfterOneGC reports whether the object fin was set on (by
+// arm) is finalized after a single runtime.GC. runtime.GC returns once
+// the cycle, sweep included, is complete, so an object that was
+// unreachable at that cycle already has its finalizer queued; the wait
+// only covers the finalizer goroutine getting scheduled.
+func collectedAfterOneGC(t *testing.T, arm func(done func())) bool {
+	t.Helper()
+	done := make(chan struct{})
+	arm(func() { close(done) })
+	runtime.GC()
+	select {
+	case <-done:
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
+}
+
+// The modulator and encode-scratch pools are separate allocations whose
+// New closures capture no pointer to the transmitter, so the runtime's
+// pool registry cannot keep a finished transmitter reachable: one GC
+// collects it. An embedded pool value would let the registry hold an
+// interior pointer into the transmitter until the second GC after its
+// last Put.
+func TestTransmitterCollectedAfterOneGC(t *testing.T) {
+	if !collectedAfterOneGC(t, func(done func()) {
+		_, tx, _ := txTestRig(t, 2, "uncoded", 64)
+		cfg, grid := txGrid(2, make([]byte, 8))
+		wide, err := tx.TransmitFrameGrid(cfg, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsp.PutVec(wide)
+		runtime.SetFinalizer(tx, func(*Transmitter) { done() })
+	}) {
+		t.Fatal("transmitter still reachable after one GC")
+	}
+}
+
+// The same holds for the payload's demodulator pools, including the
+// TDMA pool SetSyncConfig replaces.
+func TestPayloadCollectedAfterOneGC(t *testing.T) {
+	if !collectedAfterOneGC(t, func(done func()) {
+		const infoLen = 180
+		pl, codec := newTDMAPayload(t, 2, "conv-r1/2-k9", infoLen)
+		rx, _ := makeTDMABursts(pl, codec, infoLen, 4)
+		if _, err := pl.ProcessFrame(0, rx); err != nil {
+			t.Fatal(err)
+		}
+		pl.SetSyncConfig(modem.SyncConfig{UWThreshold: 0.7, FreqRecovery: true, PhaseTrack: true})
+		if _, err := pl.ProcessFrame(0, rx); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(pl, func(*Payload) { done() })
+	}) {
+		t.Fatal("payload still reachable after one GC")
+	}
 }

@@ -25,7 +25,8 @@ func TestPresetsFastConvolutionEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := NewSession(spec, WithVerification(false))
+		spec.Traffic.Verify = false
+		sess, err := NewSession(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,11 +99,6 @@ type Session struct {
 	repCache *traffic.Report
 	repFn    func() *traffic.Report
 
-	pop       []traffic.Terminal // population override (WithPopulation)
-	cfg       *traffic.Config    // config override (WithTrafficConfig)
-	verify    bool
-	verifySet bool
-
 	// pr, when non-nil, is the cross-frame pipelined runner the session
 	// steps through (resolved from the spec's pipeline switch or
 	// WithPipeline at construction). Event frames drain it and fall
@@ -131,11 +126,6 @@ func WithObserver(obs Observer) Option {
 	return func(s *Session) { s.obs = append(s.obs, obs) }
 }
 
-// WithVerification overrides the spec's ground-verification switch.
-func WithVerification(v bool) Option {
-	return func(s *Session) { s.verify, s.verifySet = v, true }
-}
-
 // WithContext installs the session's base context: Step refuses to run
 // once it is done, and Run uses it when called with a nil context.
 func WithContext(ctx context.Context) Option { return func(s *Session) { s.ctx = ctx } }
@@ -146,24 +136,8 @@ func WithControlPlane(cp ControlPlane) Option { return func(s *Session) { s.ctrl
 
 // WithPayload attaches the session to an existing payload (e.g. the
 // assembled system's) instead of booting one from the spec. The spec's
-// codec, when set, is still installed.
+// codec is still installed.
 func WithPayload(pl *payload.Payload) Option { return func(s *Session) { s.pl = pl } }
-
-// WithPopulation overrides the spec's terminal list with an already
-// resolved population — the bridge for callers whose traffic models
-// have no declarative form. Spec-level terminal and event-reference
-// validation is then skipped (the engine still enforces its own
-// invariants).
-func WithPopulation(terms []traffic.Terminal) Option {
-	return func(s *Session) { s.pop = terms }
-}
-
-// WithTrafficConfig overrides the resolved traffic configuration
-// wholesale (custom carrier plans and other knobs the declarative
-// TrafficSpec does not model).
-func WithTrafficConfig(cfg traffic.Config) Option {
-	return func(s *Session) { c := cfg; s.cfg = &c }
-}
 
 // WithPipeline overrides the spec's cross-frame pipeline switch.
 func WithPipeline(m PipelineMode) Option {
@@ -176,21 +150,11 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.verifySet {
-		s.spec.Traffic.Verify = s.verify
-		if s.cfg != nil {
-			s.cfg.Verify = s.verify
-		}
-	}
-	loose := s.pop != nil
-	if err := s.spec.validate(loose); err != nil {
+	if err := s.spec.Validate(); err != nil {
 		return nil, err
 	}
 
 	if s.pl == nil {
-		if s.spec.System.Codec == "" {
-			return nil, errors.New("scenario: booting a payload needs system.codec")
-		}
 		pcfg := payload.DefaultConfig()
 		pcfg.Carriers = s.spec.System.Carriers
 		if pcfg.Carriers == 0 {
@@ -232,25 +196,17 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("scenario: attached payload's %d-symbol burst over the %d-symbol slot budget", bf.TotalSymbols(), bs)
 		}
 	}
-	if s.spec.System.Codec != "" {
-		if err := s.pl.SetCodec(s.spec.System.Codec); err != nil {
-			return nil, err
-		}
+	if err := s.pl.SetCodec(s.spec.System.Codec); err != nil {
+		return nil, err
 	}
 
 	cfg, err := s.spec.TrafficConfig()
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg != nil {
-		cfg = *s.cfg
-	}
-	terms := s.pop
-	var pops []traffic.Population
-	if terms == nil {
-		if terms, pops, err = s.spec.Populations(); err != nil {
-			return nil, err
-		}
+	terms, pops, err := s.spec.Populations()
+	if err != nil {
+		return nil, err
 	}
 	eng, err := traffic.NewPopulations(s.pl, cfg, terms, pops)
 	if err != nil {
@@ -472,17 +428,6 @@ func (s *Session) apply(ev Event) EventRecord {
 		rec.Detail = ev.Terminal
 		err = s.eng.RemoveTerminal(ev.Terminal)
 	case ActionSetQueue:
-		// Loose sessions skip spec-level event validation, so the
-		// runtime re-rejects what Validate would have: a negative depth
-		// and an event that changes nothing.
-		if ev.QueueDepth < 0 {
-			err = fmt.Errorf("queue depth %d", ev.QueueDepth)
-			break
-		}
-		if ev.QueueDepth == 0 && ev.Policy == "" {
-			err = errors.New("neither queue depth nor policy given")
-			break
-		}
 		if ev.QueueDepth > 0 {
 			rec.Detail = fmt.Sprintf("depth=%d", ev.QueueDepth)
 			err = s.eng.SetQueueDepth(ev.QueueDepth)
@@ -498,12 +443,6 @@ func (s *Session) apply(ev Event) EventRecord {
 			}
 		}
 	case ActionSetScheduler:
-		// Loose sessions skip spec-level event validation, so the
-		// runtime re-rejects a missing or malformed scheduler.
-		if ev.Scheduler == nil {
-			err = errors.New("missing scheduler")
-			break
-		}
 		var sched switchfab.Scheduler
 		if sched, err = ev.Scheduler.Build(); err == nil {
 			rec.Detail = sched.Name()

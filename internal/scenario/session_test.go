@@ -316,23 +316,6 @@ func TestAttachedPayloadCrossChecks(t *testing.T) {
 	}
 }
 
-// WithVerification overrides the spec's switch in both directions.
-func TestWithVerificationOverride(t *testing.T) {
-	sp, _ := Preset("clean")
-	sp.Frames = 2
-	sess, err := NewSession(sp, WithVerification(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verified {
-		t.Fatal("verification still on")
-	}
-}
-
 // A failing event aborts the run with the failure in the log.
 func TestFailingEventAbortsRun(t *testing.T) {
 	sp := Spec{

@@ -545,27 +545,6 @@ func popSeed(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// SpecFromConfig lifts an imperative engine configuration into a Spec —
-// the compatibility bridge core.RunTraffic rides (the population, which
-// may use arbitrary Model implementations, travels separately through
-// WithPopulation).
-func SpecFromConfig(cfg traffic.Config, frames int) Spec {
-	return Spec{
-		Frames: frames,
-		Traffic: TrafficSpec{
-			Carriers:     cfg.Frame.Carriers,
-			Slots:        cfg.Frame.Slots,
-			SlotSymbols:  cfg.Frame.SlotSymbols,
-			GuardSymbols: cfg.Frame.GuardSymbols,
-			QueueDepth:   cfg.QueueDepth,
-			Policy:       cfg.Policy.String(),
-			EbN0dB:       cfg.EbN0dB,
-			Verify:       cfg.Verify,
-			Seed:         cfg.Seed,
-		},
-	}
-}
-
 // burstBudget returns the burst format implied by the spec and its
 // payload bit budget.
 func (sp Spec) burstFormat() modem.BurstFormat {
@@ -582,13 +561,7 @@ func (sp Spec) burstFormat() modem.BurstFormat {
 // the slot budget, CFO walking beyond the acquisition range, timing
 // offsets outside [0,1)), and script ones (events referencing terminals
 // that are not in the population at that frame).
-func (sp Spec) Validate() error { return sp.validate(false) }
-
-// validate is Validate with a loose mode for sessions whose population
-// is supplied out-of-band (WithPopulation): the terminal list, the
-// events' terminal references and the run length are then the caller's
-// responsibility, while the traffic shape and system checks still run.
-func (sp Spec) validate(loose bool) error {
+func (sp Spec) Validate() error {
 	t := sp.Traffic
 	if t.Carriers < 1 || t.Slots < 1 {
 		return fmt.Errorf("scenario: frame needs at least one carrier and one slot (got %dx%d)", t.Carriers, t.Slots)
@@ -623,21 +596,16 @@ func (sp Spec) validate(loose bool) error {
 			return err
 		}
 	}
-	if !loose {
-		if sp.Frames < 1 {
-			return fmt.Errorf("scenario: run of %d frames", sp.Frames)
-		}
-		if sp.System.Codec == "" {
-			return errors.New("scenario: system.codec is required")
-		}
-		if err := sp.validateTerminals(); err != nil {
-			return err
-		}
-		if err := sp.validateEvents(); err != nil {
-			return err
-		}
+	if sp.Frames < 1 {
+		return fmt.Errorf("scenario: run of %d frames", sp.Frames)
 	}
-	return nil
+	if sp.System.Codec == "" {
+		return errors.New("scenario: system.codec is required")
+	}
+	if err := sp.validateTerminals(); err != nil {
+		return err
+	}
+	return sp.validateEvents()
 }
 
 // checkCodec verifies the codec exists and its smallest codeword fits

@@ -54,7 +54,8 @@ func TestPresetsVerifyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := NewSession(spec, WithVerification(true))
+		spec.Traffic.Verify = true
+		sess, err := NewSession(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

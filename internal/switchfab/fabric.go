@@ -13,7 +13,7 @@
 // robin) directly into the transmit grid, so there is no per-frame
 // drain-copy layer between the switch and the transmitter.
 //
-// Ownership rule (see DESIGN.md): Route/RoutePacket, Drain, Schedule
+// Ownership rule (see DESIGN.md): RoutePacket, Drain, Schedule
 // and every probe are safe from any goroutine at any time. Adopt and
 // SetDepth reconfigure the fabric for a new exclusive driver (a traffic
 // engine) and must not race in-flight routing — drivers call them at
@@ -21,7 +21,6 @@
 package switchfab
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -30,7 +29,7 @@ import (
 // class the downlink scheduler keys on, an opaque terminal token the
 // driver uses to attribute delivery stats (comparable types only if a
 // scheduler is to key on it), and the frame the packet entered the
-// payload, for latency accounting. The fabric owns Bits from Route
+// payload, for latency accounting. The fabric owns Bits from RoutePacket
 // until the packet is popped; callers must not retain or mutate the
 // slice after routing.
 type Packet struct {
@@ -186,14 +185,6 @@ func (f *Fabric) Depth() int {
 	return sh.depth
 }
 
-// Route enqueues an unmarked (best effort) packet for a downlink beam —
-// the pre-QoS single-class path the payload's legacy wrappers ride.
-// It reports whether the packet was queued (false: the class queue is
-// full, or the beam is outside the fabric).
-func (f *Fabric) Route(beam int, payload []byte) bool {
-	return f.RoutePacket(beam, Packet{Bits: payload})
-}
-
 // RoutePacket enqueues a typed packet for a downlink beam. A full class
 // queue tail-drops (counted per class); a beam outside the fabric is
 // counted as misrouted. Safe from any goroutine; concurrent routers
@@ -226,10 +217,10 @@ func (f *Fabric) RoutePacket(beam int, p Packet) bool {
 	return true
 }
 
-// Drain removes and returns every packet queued for a beam in arrival
-// order — the compatibility path for single-shot payload callers
-// (ProcessFrame tests, payloadsim). Traffic engines do not drain: they
-// Schedule packets straight into the transmit grid.
+// Drain removes and returns every packet's bits queued for a beam in
+// arrival order — the path for single-shot payload callers
+// (ProcessFrame experiments and benchmarks). Traffic engines do not
+// drain: they Schedule packets straight into the transmit grid.
 func (f *Fabric) Drain(beam int) [][]byte {
 	if beam < 0 || beam >= len(f.shards) {
 		return nil
@@ -301,18 +292,6 @@ func (f *Fabric) HighWater(beam int) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.hw
-}
-
-// Beams lists beams with queued traffic, sorted.
-func (f *Fabric) Beams() []int {
-	var out []int
-	for i := range f.shards {
-		if f.QueueDepth(i) > 0 {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Routed returns the total packets enqueued since the last Adopt.

@@ -10,21 +10,21 @@ import (
 // pkt builds a small distinguishable payload.
 func pkt(id int) []byte { return []byte{byte(id >> 8), byte(id)} }
 
-// Route/Drain round trip in arrival order, multi-beam, plus the probe
+// RoutePacket/Drain round trip in arrival order, multi-beam, plus the probe
 // surface — the contract the seed's PacketSwitch tests pinned.
 func TestFabricRoutingAndDrain(t *testing.T) {
 	f := New(4, 0)
-	f.Route(1, pkt(10))
-	f.Route(3, pkt(30))
-	f.Route(1, pkt(11))
+	f.RoutePacket(1, Packet{Bits: pkt(10)})
+	f.RoutePacket(3, Packet{Bits: pkt(30)})
+	f.RoutePacket(1, Packet{Bits: pkt(11)})
 	if got := f.QueueDepth(1); got != 2 {
 		t.Fatalf("beam 1 depth %d, want 2", got)
 	}
 	if got := f.Routed(); got != 3 {
 		t.Fatalf("routed %d, want 3", got)
 	}
-	if beams := f.Beams(); len(beams) != 2 || beams[0] != 1 || beams[1] != 3 {
-		t.Fatalf("beams %v, want [1 3]", beams)
+	if f.QueueDepth(0) != 0 || f.QueueDepth(2) != 0 || f.QueueDepth(3) != 1 {
+		t.Fatal("packets queued on the wrong beams")
 	}
 	got := f.Drain(1)
 	if len(got) != 2 || got[0][1] != 10 || got[1][1] != 11 {
@@ -40,7 +40,7 @@ func TestFabricRoutingAndDrain(t *testing.T) {
 	if f.QueueDepth(-1) != 0 || f.QueueDepth(99) != 0 {
 		t.Fatal("out-of-range probe not zero")
 	}
-	if f.Route(99, pkt(1)) || f.Misrouted() != 1 {
+	if f.RoutePacket(99, Packet{Bits: pkt(1)}) || f.Misrouted() != 1 {
 		t.Fatalf("misroute not counted: %d", f.Misrouted())
 	}
 }
@@ -79,13 +79,13 @@ func TestFabricBoundedQueuesDropPerClass(t *testing.T) {
 func TestAdoptAndSetDepth(t *testing.T) {
 	f := New(2, 0)
 	for i := 0; i < 6; i++ {
-		f.Route(0, pkt(i))
+		f.RoutePacket(0, Packet{Bits: pkt(i)})
 	}
 	f.SetDepth(4)
 	if f.QueueDepth(0) != 6 {
 		t.Fatal("SetDepth evicted queued packets")
 	}
-	if f.Route(0, pkt(7)) {
+	if f.RoutePacket(0, Packet{Bits: pkt(7)}) {
 		t.Fatal("over-deep queue accepted another packet")
 	}
 	f.Adopt(3)
@@ -119,7 +119,7 @@ func TestConcurrentRoutersAndReaders(t *testing.T) {
 				f.RoutePacket((w+i)%beams, Packet{Bits: pkt(i), Class: Class(i % NumClasses)})
 				if i%16 == 0 {
 					f.QueueDepth(i % beams)
-					f.Beams()
+					f.ClassQueueDepth(i%beams, ClassBE)
 					f.ClassCounters()
 				}
 				if i%64 == 0 {
@@ -236,7 +236,7 @@ func TestFIFOArrivalOrderAcrossClasses(t *testing.T) {
 func TestScheduleEmitRejectUsesNoSlot(t *testing.T) {
 	f := New(1, 0)
 	for i := 0; i < 4; i++ {
-		f.Route(0, pkt(i))
+		f.RoutePacket(0, Packet{Bits: pkt(i)})
 	}
 	calls := 0
 	used := f.Schedule(FIFO{}, 0, 2, func(p Packet) bool {

@@ -416,21 +416,25 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 			g.grid[c] = make([][]byte, cfg.Frame.Slots)
 		}
 	}
+	// The pool closures capture the burst format and plan by value, not
+	// pl: a closure holding the payload would keep it reachable through
+	// the runtime's pool registry after the engine is done.
+	bf, sps := pl.BurstFormat(), plan.Decim
 	e.mods = &sync.Pool{New: func() any {
-		return modem.NewBurstModulator(pl.BurstFormat(), 0.35, 4, 10)
+		return modem.NewBurstModulator(bf, 0.35, 4, 10)
 	}}
 	e.chans = &sync.Pool{New: func() any { return dsp.NewChannel(0) }}
 	e.encBufs = &sync.Pool{New: func() any {
-		b := make([]byte, 0, pl.BurstFormat().PayloadBits())
+		b := make([]byte, 0, bf.PayloadBits())
 		return &b
 	}}
 	if cfg.Verify {
 		e.gdemux = frontend.NewDemux(plan, frontend.ChannelFilterTaps)
 		e.gdems = &sync.Pool{New: func() any {
-			return modem.NewBurstDemodulator(pl.BurstFormat(), 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
+			return modem.NewBurstDemodulator(bf, 0.35, sps, 10, modem.TimingOerderMeyr)
 		}}
 		e.gllrs = &sync.Pool{New: func() any {
-			b := make([]float64, 0, pl.BurstFormat().PayloadBits())
+			b := make([]float64, 0, bf.PayloadBits())
 			return &b
 		}}
 	}
@@ -530,36 +534,29 @@ func (e *Engine) adoptPopulations(pops []Population) error {
 // resolveSyncConfig re-resolves the payload's burst synchronization
 // chain against the current population. An impaired population needs
 // the full chain: feedforward CFO recovery before the UW search and
-// residual phase tracking across the payload. A clean population keeps
-// (or, after an impaired stretch — e.g. a fade that has cleared —
-// restores) the boot default, the legacy UW-phase-only chain, so
+// residual phase tracking across the payload. A clean population gets
+// (or, after an impaired stretch — e.g. a fade that has cleared — gets
+// back) the zero config, the legacy UW-phase-only chain, so
 // clean-channel runs stay bit-identical to engines predating channel
-// profiles. An explicitly configured payload is left alone; only
-// engine-chosen defaults (SetSyncConfigAuto) are ever replaced. It is
-// called at construction and whenever the population's impairments
-// change mid-run (join, leave, channel-profile update).
+// profiles and one engine's chain never leaks into the next engine
+// sharing the payload. It is called at construction and whenever the
+// population's impairments change mid-run (join, leave,
+// channel-profile update).
 func (e *Engine) resolveSyncConfig() {
-	if e.pl.SyncConfigExplicit() {
-		return
-	}
-	impaired := false
+	var sc modem.SyncConfig
 	for _, ts := range e.terms {
 		if ts.active && ts.term.Channel.Impaired() {
-			impaired = true
+			// The unique-word threshold is lifted above the legacy 0.6:
+			// the candidate search triples the per-slot UW scans, and a
+			// pure-noise scan's best metric tails past 0.7 often enough
+			// that the legacy threshold would false-lock, while true
+			// locks at the coded-regime Es/N0 stay above 0.82 (see the
+			// modem noise-rejection tests).
+			sc = modem.SyncConfig{UWThreshold: 0.7, FreqRecovery: true, PhaseTrack: true}
 			break
 		}
 	}
-	if impaired {
-		// The unique-word threshold is lifted above the legacy 0.6:
-		// the candidate search triples the per-slot UW scans, and a
-		// pure-noise scan's best metric tails past 0.7 often enough
-		// that the legacy threshold would false-lock, while true
-		// locks at the coded-regime Es/N0 stay above 0.82 (see the
-		// modem noise-rejection tests).
-		e.pl.SetSyncConfigAuto(modem.SyncConfig{UWThreshold: 0.7, FreqRecovery: true, PhaseTrack: true})
-	} else if e.pl.SyncConfigAuto() {
-		e.pl.SetSyncConfigAuto(modem.SyncConfig{})
-	}
+	e.pl.SetSyncConfig(sc)
 }
 
 // AddTerminal joins a terminal to the live population. Call it only at

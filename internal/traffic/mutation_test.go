@@ -139,7 +139,7 @@ func TestMutationDeterministic(t *testing.T) {
 }
 
 // SetTerminalChannel re-resolves the payload sync chain mid-run in both
-// directions, and an explicit payload configuration stays sticky.
+// directions.
 func TestSetTerminalChannelResolvesSync(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Frame = smallFrame(2, 2)
@@ -163,15 +163,6 @@ func TestSetTerminalChannelResolvesSync(t *testing.T) {
 	}
 	if err := e.SetTerminalChannel("ghost", nil); err == nil {
 		t.Fatal("unknown terminal accepted")
-	}
-
-	explicit := modem.SyncConfig{UWThreshold: 0.8}
-	pl.SetSyncConfig(explicit)
-	if err := e.SetTerminalChannel("a", &ChannelProfile{CFO: 0.05}); err != nil {
-		t.Fatal(err)
-	}
-	if pl.SyncConfig() != explicit {
-		t.Fatal("channel change overrode an explicit sync config")
 	}
 }
 

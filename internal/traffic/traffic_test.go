@@ -247,10 +247,10 @@ func TestEngineCleanChannelSyncInert(t *testing.T) {
 	}
 }
 
-// One engine's auto-enabled sync chain must not leak into the next
+// One engine's sync chain must not leak into the next
 // engine sharing the payload: an impaired run flips the payload onto
 // the full chain, and a subsequent clean-population engine restores the
-// legacy chain — while an explicit SetSyncConfig survives both.
+// legacy chain.
 func TestSyncConfigDoesNotLeakAcrossEngines(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Frame = smallFrame(2, 2)
@@ -262,8 +262,8 @@ func TestSyncConfigDoesNotLeakAcrossEngines(t *testing.T) {
 	if _, err := New(pl, cfg, impaired); err != nil {
 		t.Fatal(err)
 	}
-	if pl.SyncConfig() == (modem.SyncConfig{}) || !pl.SyncConfigAuto() {
-		t.Fatal("impaired engine must auto-enable the sync chain")
+	if pl.SyncConfig() == (modem.SyncConfig{}) {
+		t.Fatal("impaired engine must enable the sync chain")
 	}
 	if _, err := New(pl, cfg, clean); err != nil {
 		t.Fatal(err)
@@ -272,29 +272,14 @@ func TestSyncConfigDoesNotLeakAcrossEngines(t *testing.T) {
 		t.Fatalf("clean engine kept the previous engine's sync chain: %+v", pl.SyncConfig())
 	}
 
-	explicit := modem.SyncConfig{UWThreshold: 0.8, FreqRecovery: true}
-	pl.SetSyncConfig(explicit)
-	if _, err := New(pl, cfg, impaired); err != nil {
-		t.Fatal(err)
-	}
-	if pl.SyncConfig() != explicit {
-		t.Fatal("impaired engine overrode an explicit sync config")
-	}
+	// The engine always resolves the chain: a config set on the payload
+	// directly lasts only until the next engine (or population change).
+	pl.SetSyncConfig(modem.SyncConfig{UWThreshold: 0.8, FreqRecovery: true})
 	if _, err := New(pl, cfg, clean); err != nil {
 		t.Fatal(err)
 	}
-	if pl.SyncConfig() != explicit {
-		t.Fatal("clean engine overrode an explicit sync config")
-	}
-
-	// An explicit zero config pins the legacy chain on purpose — it
-	// must be just as sticky as any other explicit value.
-	pl.SetSyncConfig(modem.SyncConfig{})
-	if _, err := New(pl, cfg, impaired); err != nil {
-		t.Fatal(err)
-	}
-	if pl.SyncConfig() != (modem.SyncConfig{}) || pl.SyncConfigAuto() {
-		t.Fatalf("impaired engine overrode an explicitly pinned legacy chain: %+v", pl.SyncConfig())
+	if pl.SyncConfig() != (modem.SyncConfig{}) {
+		t.Fatalf("clean engine kept a stale sync config: %+v", pl.SyncConfig())
 	}
 }
 
